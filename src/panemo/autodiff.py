@@ -7,7 +7,8 @@ buffers. A tape is consumed by ``backward`` and cannot be replayed.
 
 Only the shapes the model actually needs are supported: 2-D matrices,
 1-D bias vectors broadcast over rows, and (B, 1) column factors broadcast
-over feature columns.
+over feature columns. Ops that act on whole (T, B, d) sequences, such as
+the fused GRU layer, live with the model and record through ``record``.
 """
 
 from __future__ import annotations
@@ -104,18 +105,21 @@ def record(backward_fn: Callable[[], None], out: Tensor):
         tape._records.append(backward_fn)
 
 
+def needs_grad(t: Tensor) -> bool:
+    """Whether gradient reaching ``t`` is kept: trainable leaves and op outputs.
+
+    Ops whose input gradient costs real work check this before computing it.
+    """
+    return t.trainable or t._op_output
+
+
 def accumulate_grad(t: Tensor, g: np.ndarray):
     """Additive gradient accumulation; frozen leaves are skipped."""
-    if not (t.trainable or t._op_output):
+    if not needs_grad(t):
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def _out_grad(t: Tensor) -> np.ndarray | None:
-    # None means the tensor never received gradient (unreachable from loss).
-    return t.grad
 
 
 def backward(loss: Tensor, tape: Tape):
@@ -145,7 +149,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(a, g @ b.data.T)
@@ -166,7 +170,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(a, g)
@@ -185,7 +189,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(a, g)
@@ -210,7 +214,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(a, g * b.data)
@@ -229,7 +233,7 @@ def mul_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.data * c)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         ga = g * c
@@ -254,7 +258,7 @@ def add_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.data + c)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(a, g)
@@ -274,7 +278,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
     out = Tensor(y)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         if kind == "sigmoid":
@@ -309,7 +313,7 @@ def concat_features(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.data.shape[-1] for p in parts]
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         offset = 0
@@ -345,7 +349,7 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     out = Tensor(a[0] if squeeze else a)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         ga = g[None, :] if squeeze else g
@@ -362,7 +366,7 @@ def tensor_sum(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(x, np.full_like(x.data, float(g)))
@@ -376,7 +380,7 @@ def square_sum(x: Tensor) -> Tensor:
     out = Tensor((x.data * x.data).sum())
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(x, 2.0 * float(g) * x.data)
@@ -389,7 +393,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * c)
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         accumulate_grad(x, g * c)
@@ -403,7 +407,7 @@ def add_scalars(parts: Sequence[Tensor]) -> Tensor:
     out = Tensor(sum(float(p.data) for p in parts))
 
     def bwd():
-        g = _out_grad(out)
+        g = out.grad
         if g is None:
             return
         for p in parts:

@@ -149,14 +149,14 @@ def cmd_predict(args) -> int:
         if args.input
         else sys.stdin.read().splitlines()
     )
-    for line in lines:
-        if not line.strip():
-            continue
-        tokens = textprep.tokenize(line)
-        indices, mask = textprep.encode(tokens, vocab, max_len)
-        scores = predict_scores(
-            np.array([indices], dtype=np.int64), np.array([mask], dtype=np.float64), params
-        )[0]
+    lines = [line for line in lines if line.strip()]
+    if not lines:
+        return 0
+    indices, masks = zip(*(textprep.encode(textprep.tokenize(line), vocab, max_len) for line in lines))
+    all_scores = predict_scores(
+        np.array(indices, dtype=np.int64), np.array(masks, dtype=np.float64), params
+    )
+    for line, scores in zip(lines, all_scores):
         labels = [name for name, s in zip(EMOTIONS, scores) if s > tau]
         score_str = " ".join(f"{name}={s:.3f}" for name, s in zip(EMOTIONS, scores))
         print(f"{line}\t{','.join(labels) if labels else '(none)'}\t{score_str}")

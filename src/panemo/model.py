@@ -155,8 +155,8 @@ def init_params(embedding: EmbeddingMatrix, config: ModelConfig, seed: int) -> M
     )
 
 
-def embed(indices: np.ndarray, embedding: Tensor) -> list[Tensor]:
-    """Row lookup of a (B, T) index batch; returns T tensors of shape (B, d_emb).
+def embed(indices: np.ndarray, embedding: Tensor) -> Tensor:
+    """Row lookup of a (B, T) index batch into a (T, B, d_emb) sequence.
 
     Equivalent to one-hot matmul against the embedding table. No gradient
     flows to the (frozen) table.
@@ -166,99 +166,229 @@ def embed(indices: np.ndarray, embedding: Tensor) -> list[Tensor]:
         raise IndexError(
             f"token index out of range for vocabulary of {embedding.data.shape[0]}"
         )
-    return [Tensor(embedding.data[indices[:, t]]) for t in range(indices.shape[1])]
-
-
-def gru_cell(x_t: Tensor, h_prev: Tensor, p: GruDirectionParams) -> Tensor:
-    """One GRU step.
-
-    r = sigma(W_ir x + b_ir + W_hr h + b_hr)
-    z = sigma(W_iz x + b_iz + W_hz h + b_hz)
-    n = tanh(W_in x + b_in + r * (W_hn h + b_hn))   # r gates the affine hidden term
-    h' = (1 - z) * n + z * h
-    """
-    r = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p.W_ir), p.b_ir), ad.add(ad.matmul(h_prev, p.W_hr), p.b_hr))
-    )
-    z = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p.W_iz), p.b_iz), ad.add(ad.matmul(h_prev, p.W_hz), p.b_hz))
-    )
-    n = ad.tanh(
-        ad.add(
-            ad.add(ad.matmul(x_t, p.W_in), p.b_in),
-            ad.mul(ad.add(ad.matmul(h_prev, p.W_hn), p.b_hn), r),
-        )
-    )
-    # (1 - z) * n + z * h_prev, written without a standalone ones tensor
-    return ad.add(ad.sub(n, ad.mul(n, z)), ad.mul(h_prev, z))
+    return Tensor(embedding.data[indices.T])
 
 
 def bigru_layer(
-    xs: list[Tensor],
+    x: Tensor,
     fwd: GruDirectionParams,
     bwd: GruDirectionParams,
     mask: np.ndarray,
-) -> list[Tensor]:
-    """Bidirectional scan over T per-position tensors of shape (B, d_in).
+) -> Tensor:
+    """Bidirectional GRU scan over a (T, B, d_in) sequence, as one tape op.
 
-    Returns T tensors of shape (B, 2*hidden): [h_fwd ; h_bwd] per position.
-    Masked positions emit zeros and leave the carried hidden state unchanged,
-    so batch padding cannot alter the valid prefix.
+    Returns (T, B, 2*hidden): [h_fwd ; h_bwd] per position. Per direction:
+
+        r = sigma(W_ir x + b_ir + W_hr h + b_hr)
+        z = sigma(W_iz x + b_iz + W_hz h + b_hz)
+        n = tanh(W_in x + b_in + r * (W_hn h + b_hn))   # r gates the affine hidden term
+        h' = (1 - z) * n + z * h
+
+    Positions where the 0/1 ``mask`` (B, T) is 0 emit zeros and leave the
+    carried hidden state unchanged, so batch padding cannot alter the valid
+    prefix.
+
+    The input projection of all T steps of both directions is one GEMM. The
+    two recurrences then run side by side as a (2, B, .) stack, the backward
+    direction in reversed time. The backward rule is hand-written BPTT: the
+    input weights get one GEMM after the loop, the hidden weights one small
+    GEMM per step, and the gradients are split back onto the 12 per-gate
+    tensors of each direction (which may be weight-noise views of the clean
+    parameters).
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    T = len(xs)
-    B = xs[0].data.shape[0]
-    hidden = fwd.W_hr.data.shape[0]
+    T, B, d_in = x.data.shape
+    H = fwd.W_hr.data.shape[0]
+    dirs = (fwd, bwd)
+    W_i = np.concatenate([getattr(p, f"W_i{g}").data for p in dirs for g in "rzn"], axis=1)
+    W_h = np.stack([np.concatenate([getattr(p, f"W_h{g}").data for g in "rzn"], axis=1) for p in dirs])
+    # The biases are added per step: b_ir + b_hr and b_iz + b_hz onto the
+    # r and z pre-activations, b_hn inside r * (W_hn h + b_hn), b_in after it.
+    b_h = np.stack(
+        [np.concatenate([p.b_ir.data + p.b_hr.data, p.b_iz.data + p.b_hz.data, p.b_hn.data]) for p in dirs]
+    )[:, None]
+    b_in = np.stack([p.b_in.data for p in dirs])[:, None]
 
-    def scan(order, params):
-        h = Tensor(np.zeros((B, hidden)))
-        outs = {}
-        for t in order:
-            m_t = mask[:, t : t + 1]
-            h_new = gru_cell(xs[t], h, params)
-            # carried state: h_new where valid, previous h where masked
-            h = ad.add(ad.mul_const(h_new, m_t), ad.mul_const(h, 1.0 - m_t))
-            outs[t] = ad.mul_const(h_new, m_t)
-        return [outs[t] for t in range(T)]
+    x2 = x.data.reshape(T * B, d_in)
+    xp = (x2 @ W_i).reshape(T, B, 6 * H)
+    # Stacked per-step arrays are (2, T, B, .) in step order: [0, s] is time s
+    # of the forward scan, [1, s] is time T-1-s of the backward scan.
+    valid = np.asarray(mask).T[:, :, None] > 0
+    masked = np.stack([~valid, ~valid[::-1]])
+    ragged = masked.any(axis=(0, 2, 3))  # steps where some row keeps its state
+    # what the backward rule needs is kept only while a tape records
+    keep = ad.current_tape() is not None
+    RZ = np.empty((2, T if keep else 1, B, 2 * H))
+    if keep:
+        # With h' = n + z (h - n) and a_g the pre-activation of gate g:
+        # DN = dh'/da_n = (1 - z)(1 - n^2), and COEF holds dh'/d(h W_h + b_h)
+        # per gate: [DN hn r (1 - r), (h - n) z (1 - z), DN r], hn = W_hn h + b_hn.
+        DN = np.empty((2, T, B, H))
+        COEF = np.empty((2, T, B, 3, H))
+    C = np.empty((2, T + 1, B, H))  # carried state; C[:, s] is h_prev of step s
+    C[:, 0] = 0.0
+    n = np.empty((2, B, H))
+    h_minus_n = np.empty((2, B, H))
 
-    hs_fwd = scan(range(T), fwd)
-    hs_bwd = scan(range(T - 1, -1, -1), bwd)
-    return [ad.concat_features([hs_fwd[t], hs_bwd[t]]) for t in range(T)]
+    for s in range(T):
+        t_b = T - 1 - s
+        h, h_next = C[:, s], C[:, s + 1]
+        rz = RZ[:, s if keep else 0]
+        r, z = rz[..., :H], rz[..., H:]
+        hp = np.matmul(h, W_h)
+        hp += b_h
+        np.add(xp[s, :, : 2 * H], hp[0, :, : 2 * H], out=rz[0])
+        np.add(xp[t_b, :, 3 * H : 5 * H], hp[1, :, : 2 * H], out=rz[1])
+        np.negative(rz, out=rz)
+        np.exp(rz, out=rz)
+        rz += 1.0
+        np.reciprocal(rz, out=rz)
+        hn = hp[..., 2 * H :]
+        np.multiply(hn, r, out=n)
+        n += b_in
+        n[0] += xp[s, :, 2 * H : 3 * H]
+        n[1] += xp[t_b, :, 5 * H :]
+        np.tanh(n, out=n)
+        np.subtract(h, n, out=h_minus_n)
+        np.multiply(z, h_minus_n, out=h_next)
+        h_next += n
+        if ragged[s]:
+            np.copyto(h_next, h, where=masked[:, s])
+        if keep:
+            dn, c_r, c_z, c_n = DN[:, s], COEF[:, s, :, 0], COEF[:, s, :, 1], COEF[:, s, :, 2]
+            np.multiply(n, n, out=dn)
+            np.subtract(1.0, dn, out=dn)
+            np.subtract(1.0, z, out=c_z)
+            dn *= c_z
+            c_z *= z
+            c_z *= h_minus_n
+            np.multiply(dn, r, out=c_n)
+            np.subtract(1.0, r, out=c_r)
+            c_r *= c_n
+            c_r *= hn
+
+    y = Tensor(np.empty((T, B, 2 * H)))
+    np.multiply(C[0, 1:], valid, out=y.data[..., :H])
+    np.multiply(C[1, :0:-1], valid, out=y.data[..., H:])
+
+    def backward():
+        g = y.grad
+        if g is None:
+            return
+        G = np.empty((2, T, B, H))
+        G[0] = g[..., :H]
+        G[1] = g[::-1, :, H:]
+        W_hT = W_h.transpose(0, 2, 1)
+        D_xp = np.empty((T, B, 6 * H))  # d loss / d (x W_i + b_i), in time order
+        dW_h = np.zeros((2, H, 3 * H))
+        db_hn = np.zeros((2, H))
+        dh = np.zeros((2, B, H))
+        d_new = np.empty((2, B, H))
+        d_hp = np.empty((2, B, 3, H))  # d loss / d (h_prev W_h + b_h), per gate
+        tmp = np.empty((2, B, H))
+        for s in range(T - 1, -1, -1):
+            t_b = T - 1 - s
+            np.add(G[:, s], dh, out=d_new)
+            if ragged[s]:
+                np.copyto(d_new, 0.0, where=masked[:, s])
+            np.multiply(d_new[:, :, None, :], COEF[:, s], out=d_hp)
+            d_hp3 = d_hp.reshape(2, B, 3 * H)
+            dW_h += np.matmul(C[:, s].transpose(0, 2, 1), d_hp3)
+            db_hn += d_hp[:, :, 2].sum(axis=1)
+            dh_next = np.matmul(d_hp3, W_hT)
+            np.multiply(d_new, RZ[:, s, :, H:], out=tmp)
+            dh_next += tmp
+            if ragged[s]:
+                np.copyto(dh_next, dh, where=masked[:, s])
+            dh = dh_next
+            # the r and z pre-activations take x and h alike; n's x part is unscaled by r
+            D_xp[s, :, : 2 * H] = d_hp3[0, :, : 2 * H]
+            np.multiply(d_new[0], DN[0, s], out=D_xp[s, :, 2 * H : 3 * H])
+            D_xp[t_b, :, 3 * H : 5 * H] = d_hp3[1, :, : 2 * H]
+            np.multiply(d_new[1], DN[1, s], out=D_xp[t_b, :, 5 * H :])
+
+        D_xp = D_xp.reshape(T * B, 6 * H)
+        dW_i = x2.T @ D_xp
+        db_i = D_xp.sum(axis=0)
+        if ad.needs_grad(x):
+            ad.accumulate_grad(x, (D_xp @ W_i.T).reshape(T, B, d_in))
+        for k, p in enumerate(dirs):
+            for j, gate in enumerate("rzn"):
+                cols = slice((3 * k + j) * H, (3 * k + j + 1) * H)
+                ad.accumulate_grad(getattr(p, f"W_i{gate}"), dW_i[:, cols])
+                ad.accumulate_grad(getattr(p, f"b_i{gate}"), db_i[cols])
+                ad.accumulate_grad(getattr(p, f"W_h{gate}"), dW_h[k][:, j * H : (j + 1) * H])
+            ad.accumulate_grad(p.b_hr, db_i[3 * k * H : (3 * k + 1) * H])
+            ad.accumulate_grad(p.b_hz, db_i[(3 * k + 1) * H : (3 * k + 2) * H])
+            ad.accumulate_grad(p.b_hn, db_hn[k])
+
+    ad.record(backward, y)
+    return y
+
+
+def _feature_bounds(us: list[Tensor]) -> list[tuple[int, int]]:
+    """(start, end) column range of each block in u = concat(us)."""
+    ends = np.cumsum([u.data.shape[2] for u in us]).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _attention_scores(us: list[Tensor], p: AttentionParams) -> Tensor:
+    """Per-position scores e = u . w_a + b as (B, T), for u = concat(us)."""
+    T, B, _ = us[0].data.shape
+    flat = [u.data.reshape(T * B, -1) for u in us]
+    bounds = _feature_bounds(us)
+    w = p.w_a.data
+    e = sum(f @ w[lo:hi] for f, (lo, hi) in zip(flat, bounds))
+    out = Tensor(e.reshape(T, B).T + p.b.data)
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        gT = np.ascontiguousarray(g.T)
+        for u, (lo, hi) in zip(us, bounds):
+            if ad.needs_grad(u):
+                ad.accumulate_grad(u, gT[:, :, None] * w[lo:hi, 0])
+        g_flat = gT.reshape(T * B, 1)
+        ad.accumulate_grad(p.w_a, np.concatenate([f.T @ g_flat for f in flat]))
+        ad.accumulate_grad(p.b, np.array([g.sum()]))
+
+    ad.record(backward, out)
+    return out
+
+
+def _weighted_sum(us: list[Tensor], a: Tensor) -> Tensor:
+    """sum_t a[b, t] * u[t, b, :] as (B, d_u), for u = concat(us) and (B, T) weights."""
+    out = Tensor(np.concatenate([np.einsum("bt,tbd->bd", a.data, u.data) for u in us], axis=1))
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        aT = a.data.T[:, :, None]
+        da = np.zeros_like(a.data)
+        for u, (lo, hi) in zip(us, _feature_bounds(us)):
+            g_u = g[:, lo:hi]
+            if ad.needs_grad(u):
+                ad.accumulate_grad(u, aT * g_u)
+            da += np.einsum("tbd,bd->bt", u.data, g_u)
+        ad.accumulate_grad(a, da)
+
+    ad.record(backward, out)
+    return out
 
 
 def attention_pool(
     us: list[Tensor], p: AttentionParams, mask: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted sum of per-position features.
+    """Softmax-weighted sum over the positions of a (T, B, d_u) sequence.
 
-    ``us`` holds T tensors of shape (B, d_u). Returns the pooled (B, d_u)
-    tensor and the (B, T) attention weights for inspection.
+    The sequence u is given as its feature blocks ``us``, each (T, B, d_k),
+    with u = concat(us) on the last axis; no concatenated copy is built.
+    Returns the pooled (B, d_u) tensor and the (B, T) attention weights for
+    inspection.
     """
-    scores = ad.concat_features(
-        [ad.add(ad.matmul(u, p.w_a), p.b) for u in us]
-    )  # (B, T)
-    weights = ad.masked_softmax(scores, mask)
-    pooled = None
-    for t, u in enumerate(us):
-        term = ad.mul(u, _column(weights, t))
-        pooled = term if pooled is None else ad.add(pooled, term)
-    return pooled, weights.data.copy()
-
-
-def _column(x: Tensor, t: int) -> Tensor:
-    """Differentiable (B, 1) column slice of a (B, T) tensor."""
-    out = Tensor(x.data[:, t : t + 1])
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        full = np.zeros_like(x.data)
-        full[:, t : t + 1] = g
-        ad.accumulate_grad(x, full)
-
-    ad.record(bwd, out)
-    return out
+    weights = ad.masked_softmax(_attention_scores(us, p), mask)
+    return _weighted_sum(us, weights), weights.data.copy()
 
 
 def forward(
@@ -286,28 +416,35 @@ def forward(
     dense_rng = getattr(rng, "dense", rng)
 
     mask = np.asarray(mask, dtype=np.float64)
-    xs = embed(indices, params.embedding)
+    T = mask.shape[1]
+    # Positions past the batch's longest valid length are masked in every
+    # row; masked steps carry h unchanged and emit zeros, so dropping them
+    # leaves the result unchanged.
+    valid = np.flatnonzero(mask.any(axis=0))
+    length = int(valid[-1]) + 1 if valid.size else 1
+    mask = mask[:, :length]
+    x = embed(np.asarray(indices)[:, :length], params.embedding)
 
     if mode == "train" and spatial_dropout > 0.0:
         ch_mask = spatial_dropout_mask(
-            (xs[0].data.shape[0], params.config.d_emb), spatial_dropout, spatial_rng
+            (x.data.shape[1], params.config.d_emb), spatial_dropout, spatial_rng
         )
-        xs = [ad.mul_const(x, ch_mask) for x in xs]
+        # the embedding is frozen, so the dropped-out input needs no gradient
+        x = Tensor(x.data * ch_mask)
 
-    h1 = bigru_layer(xs, params.gru1_fwd, params.gru1_bwd, mask)
+    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask)
     h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask)
 
-    u1 = [ad.concat_features([h1[t], xs[t]]) for t in range(len(xs))]
-    u2 = [ad.concat_features([h2[t], h1[t], xs[t]]) for t in range(len(xs))]
-    v1, a1 = attention_pool(u1, params.attn1, mask)
-    v2, a2 = attention_pool(u2, params.attn2, mask)
+    v1, a1 = attention_pool([h1, x], params.attn1, mask)
+    v2, a2 = attention_pool([h2, h1, x], params.attn2, mask)
     v = ad.concat_features([v1, v2])
 
     if mode == "train" and dropout_dense > 0.0:
         v = ad.mul_const(v, dropout_mask(v.data.shape, dropout_dense, dense_rng))
 
     yhat = ad.sigmoid(ad.add(ad.matmul(v, params.W_d), params.b_d))
-    return yhat, a1, a2
+    pad = ((0, 0), (0, T - length))
+    return yhat, np.pad(a1, pad), np.pad(a2, pad)
 
 
 def predict_scores(dataset_indices, dataset_mask, params, batch_size: int = 64):

@@ -1,20 +1,39 @@
-"""Self-verification harnesses: downsized gradient check, invariant suites,
-brute-force metric oracles, and a synthetic overfit dataset.
+"""Self-verification harnesses: downsized gradient checks (eval and train
+mode), invariant suites, reference oracles, and a synthetic overfit dataset.
 
-The brute-force oracles here are deliberately written as plain Python loops
-over individual cells, independent of the vectorized implementations in
-``metrics``.
+The oracles here are deliberately independent of the fast implementations
+they check: the metric oracles are plain Python loops over individual cells,
+and the sequence-layer oracles build the GRU and attention pooling from
+per-step, per-gate tape ops.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from . import autodiff as ad
 from .metrics import f1_scores, jaccard_accuracy
-from .model import ModelConfig, ModelParams, forward, init_params
+from .autodiff import Tensor
+from .model import (
+    AttentionParams,
+    GruDirectionParams,
+    ModelConfig,
+    ModelParams,
+    attention_pool,
+    bigru_layer,
+    forward,
+    init_params,
+)
 from .textprep import Dataset, Example, NUM_EMOTIONS, random_embeddings
-from .training import l2_penalty, weighted_bce
+from .training import (
+    RegularizerRngs,
+    TrainingConfig,
+    l2_penalty,
+    perturb_hidden_weights,
+    weighted_bce,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +49,8 @@ def build_downsized(seed: int, emb_scale: float = 0.05, **overrides) -> ModelPar
     return init_params(emb, ModelConfig(d_emb=cfg["d_emb"], hidden=cfg["hidden"]), seed)
 
 
-def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
-    """Max relative error of analytic vs central-difference gradients on a
-    downsized model with all regularizer randomness disabled."""
+def _gradcheck_batch(seed: int):
+    """Downsized params and one ragged, PAD-filled batch with random labels."""
     cfg = DOWNSIZED
     params = build_downsized(seed)
     rng = np.random.default_rng(seed + 1)
@@ -41,6 +59,13 @@ def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3
     mask = np.array([[1.0] * n + [0.0] * (cfg["T"] - n) for n in lengths])
     indices = indices * (mask.astype(np.int64))  # padded positions -> PAD
     labels = rng.integers(0, 2, size=(cfg["batch"], NUM_EMOTIONS)).astype(np.float64)
+    return params, indices, mask, labels
+
+
+def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
+    """Max relative error of analytic vs central-difference gradients on a
+    downsized model with all regularizer randomness disabled."""
+    params, indices, mask, labels = _gradcheck_batch(seed)
 
     def loss_fn():
         yhat, _, _ = forward(indices, mask, params)
@@ -50,6 +75,224 @@ def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3
 
     trainable = [t for _, t in params.trainable_parameters()]
     return ad.grad_check(loss_fn, trainable, eps=eps)
+
+
+def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
+    """``downsized_gradcheck`` through the train-mode forward of one step.
+
+    Spatial dropout, dense dropout and Gaussian hidden-weight noise are on at
+    the default training rates. Every evaluation of the loss draws them from
+    freshly seeded streams, so the draws are taken once and held fixed while
+    the finite differences move the clean weights underneath the noise.
+    """
+    params, indices, mask, labels = _gradcheck_batch(seed)
+    regime = TrainingConfig()
+
+    def loss_fn():
+        noisy = perturb_hidden_weights(
+            params, regime.weight_noise_std, np.random.default_rng(seed + 2)
+        )
+        rngs = RegularizerRngs(
+            spatial=np.random.default_rng(seed + 3), dense=np.random.default_rng(seed + 4)
+        )
+        yhat, _, _ = forward(
+            indices, mask, noisy, mode="train", dropout_dense=regime.dropout_dense,
+            spatial_dropout=regime.spatial_dropout, rng=rngs,
+        )
+        return ad.add_scalars(
+            [weighted_bce(yhat, labels, 2.0), l2_penalty(params, l2_coeff)]
+        )
+
+    trainable = [t for _, t in params.trainable_parameters()]
+    return ad.grad_check(loss_fn, trainable, eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# per-step tape oracles for the sequence layers
+# ---------------------------------------------------------------------------
+
+
+def gru_cell(x_t: Tensor, h_prev: Tensor, p: GruDirectionParams) -> Tensor:
+    """One GRU step from per-gate tape ops.
+
+    r = sigma(W_ir x + b_ir + W_hr h + b_hr)
+    z = sigma(W_iz x + b_iz + W_hz h + b_hz)
+    n = tanh(W_in x + b_in + r * (W_hn h + b_hn))   # r gates the affine hidden term
+    h' = (1 - z) * n + z * h
+    """
+    r = ad.sigmoid(
+        ad.add(ad.add(ad.matmul(x_t, p.W_ir), p.b_ir), ad.add(ad.matmul(h_prev, p.W_hr), p.b_hr))
+    )
+    z = ad.sigmoid(
+        ad.add(ad.add(ad.matmul(x_t, p.W_iz), p.b_iz), ad.add(ad.matmul(h_prev, p.W_hz), p.b_hz))
+    )
+    n = ad.tanh(
+        ad.add(
+            ad.add(ad.matmul(x_t, p.W_in), p.b_in),
+            ad.mul(ad.add(ad.matmul(h_prev, p.W_hn), p.b_hn), r),
+        )
+    )
+    # (1 - z) * n + z * h_prev, written without a standalone ones tensor
+    return ad.add(ad.sub(n, ad.mul(n, z)), ad.mul(h_prev, z))
+
+
+def reference_bigru_layer(
+    xs: list[Tensor], fwd: GruDirectionParams, bwd: GruDirectionParams, mask: np.ndarray
+) -> list[Tensor]:
+    """Oracle for ``model.bigru_layer``: T per-position (B, d_in) inputs in,
+    T per-position (B, 2*hidden) outputs out, one ``gru_cell`` per step."""
+    mask = np.asarray(mask, dtype=np.float64)
+    T = len(xs)
+    B = xs[0].data.shape[0]
+    hidden = fwd.W_hr.data.shape[0]
+
+    def scan(order, params):
+        h = Tensor(np.zeros((B, hidden)))
+        outs = {}
+        for t in order:
+            m_t = mask[:, t : t + 1]
+            h_new = gru_cell(xs[t], h, params)
+            # carried state: h_new where valid, previous h where masked
+            h = ad.add(ad.mul_const(h_new, m_t), ad.mul_const(h, 1.0 - m_t))
+            outs[t] = ad.mul_const(h_new, m_t)
+        return [outs[t] for t in range(T)]
+
+    hs_fwd = scan(range(T), fwd)
+    hs_bwd = scan(range(T - 1, -1, -1), bwd)
+    return [ad.concat_features([hs_fwd[t], hs_bwd[t]]) for t in range(T)]
+
+
+def reference_attention_pool(
+    us: list[Tensor], p: AttentionParams, mask: np.ndarray
+) -> tuple[Tensor, np.ndarray]:
+    """Oracle for ``model.attention_pool`` over T per-position (B, d_u) inputs:
+    one score per position, then a sum of per-position weighted terms."""
+    T = len(us)
+    scores = ad.concat_features([ad.add(ad.matmul(u, p.w_a), p.b) for u in us])  # (B, T)
+    weights = ad.masked_softmax(scores, mask)
+    pooled = None
+    for t, u in enumerate(us):
+        column = ad.matmul(weights, Tensor(np.eye(T)[:, t : t + 1]))  # (B, 1)
+        term = ad.mul(u, column)
+        pooled = term if pooled is None else ad.add(pooled, term)
+    return pooled, weights.data.copy()
+
+
+def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest absolute difference, relative to the largest reference entry."""
+    scale = float(np.abs(want).max(initial=0.0))
+    diff = float(np.abs(got - want).max(initial=0.0))
+    return diff / scale if scale > 0.0 else diff
+
+
+def _oracle_mask(rng, T: int, B: int) -> np.ndarray:
+    """Ragged prefix masks with a full-length row and a length-1 row; with
+    T >= 3 and B >= 3 the third row also has a masked gap inside it, which a
+    state must be carried across in both directions."""
+    lengths = [T, 1] + [int(n) for n in rng.integers(1, T + 1, size=max(B - 2, 0))]
+    mask = np.array([[1.0] * n + [0.0] * (T - n) for n in lengths[:B]])
+    if T >= 3 and B >= 3:
+        mask[2] = 1.0
+        mask[2, T // 2] = 0.0
+    return mask
+
+
+def _random_gru(rng, d_in: int, hidden: int) -> GruDirectionParams:
+    def t(*shape):
+        return Tensor(rng.uniform(-0.5, 0.5, shape), trainable=True)
+
+    return GruDirectionParams(
+        W_ir=t(d_in, hidden), W_iz=t(d_in, hidden), W_in=t(d_in, hidden),
+        W_hr=t(hidden, hidden), W_hz=t(hidden, hidden), W_hn=t(hidden, hidden),
+        b_ir=t(hidden), b_iz=t(hidden), b_in=t(hidden),
+        b_hr=t(hidden), b_hz=t(hidden), b_hn=t(hidden),
+    )
+
+
+def check_fused_bigru(seed: int = 0, T: int = 7, B: int = 5, d_in: int = 6, hidden: int = 4) -> float:
+    """Worst relative difference between ``model.bigru_layer`` and the per-step
+    oracle: the outputs, dX and the gradients of all 24 gate tensors.
+
+    The batch has ragged masks (a length-1 row, a row with a masked gap), and
+    the hidden weights carry ``add_const`` noise as in a training step, so the
+    gate gradients reach the clean weights through the noise op.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = [_random_gru(rng, d_in, hidden) for _ in range(2)]
+    mask = _oracle_mask(rng, T, B)
+    x = rng.uniform(-1, 1, (T, B, d_in)) * mask.T[:, :, None]
+    probe = rng.uniform(-1, 1, (T, B, 2 * hidden))  # loss = sum(probe * outputs)
+    noise = [rng.normal(0.0, 0.1, (3, hidden, hidden)) for _ in dirs]
+
+    def noisy(p, eps):
+        return dataclasses.replace(
+            p, W_hr=ad.add_const(p.W_hr, eps[0]), W_hz=ad.add_const(p.W_hz, eps[1]),
+            W_hn=ad.add_const(p.W_hn, eps[2]),
+        )
+
+    def run(fused: bool):
+        for p in dirs:
+            for t in vars(p).values():
+                t.zero_grad()
+        with ad.Tape() as tape:
+            fwd, bwd = (noisy(p, eps) for p, eps in zip(dirs, noise))
+            if fused:
+                xs = Tensor(x, trainable=True)
+                out = bigru_layer(xs, fwd, bwd, mask)
+                loss = ad.tensor_sum(ad.mul_const(out, probe))
+            else:
+                xs = [Tensor(x[t], trainable=True) for t in range(T)]
+                outs = reference_bigru_layer(xs, fwd, bwd, mask)
+                loss = ad.add_scalars(
+                    [ad.tensor_sum(ad.mul_const(o, probe[t])) for t, o in enumerate(outs)]
+                )
+                out = Tensor(np.stack([o.data for o in outs]))
+        ad.backward(loss, tape)
+        dx = xs.grad if fused else np.stack([t.grad for t in xs])
+        grads = [t.grad.copy() for p in dirs for t in vars(p).values()]
+        return [out.data, dx] + grads
+
+    return max(_relative_error(f, o) for f, o in zip(run(True), run(False)))
+
+
+def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6) -> float:
+    """Worst relative difference between ``model.attention_pool`` and the
+    per-position oracle: pooled output, weights, dU and the w_a gradient, on
+    the same ragged masks as ``check_fused_bigru``. The fused side gets u as
+    two feature blocks, the second frozen as the embedding block is in the
+    model.
+
+    The true gradient of the bias b is 0 (softmax shift invariance) and both
+    sides give rounding noise there, so it counts in absolute terms.
+    """
+    rng = np.random.default_rng(seed)
+    mask = _oracle_mask(rng, T, B)
+    u = rng.uniform(-1, 1, (T, B, d))
+    split = d // 2
+    p = AttentionParams(
+        w_a=Tensor(rng.uniform(-1, 1, (d, 1)), trainable=True),
+        b=Tensor(rng.uniform(-1, 1, 1), trainable=True),
+    )
+    probe = rng.uniform(-1, 1, (B, d))
+
+    def run(fused: bool):
+        p.w_a.zero_grad()
+        p.b.zero_grad()
+        with ad.Tape() as tape:
+            if fused:
+                us = [Tensor(u[..., :split], trainable=True), Tensor(u[..., split:])]
+                pooled, weights = attention_pool(us, p, mask)
+            else:
+                us = [Tensor(u[t], trainable=True) for t in range(T)]
+                pooled, weights = reference_attention_pool(us, p, mask)
+            loss = ad.tensor_sum(ad.mul_const(pooled, probe))
+        ad.backward(loss, tape)
+        du = us[0].grad if fused else np.stack([t.grad for t in us])[..., :split]
+        return [pooled.data, weights, du, p.w_a.grad.copy()], float(np.abs(p.b.grad).max())
+
+    (fused, b_fused), (oracle, b_oracle) = run(True), run(False)
+    worst = max(_relative_error(f, o) for f, o in zip(fused, oracle))
+    return max(worst, b_fused, b_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +321,6 @@ def overfit_harness(seed: int = 1):
     Embeddings use unit scale: at the pretrained-vector 0.05 scale the frozen
     random tokens are nearly indistinguishable and the loss plateaus.
     """
-    from .training import TrainingConfig
-
     dataset = make_synthetic_dataset(64, T=DOWNSIZED["T"], seed=seed)
     params = build_downsized(seed, emb_scale=1.0)
     config = TrainingConfig(
@@ -163,8 +404,6 @@ def check_softmax_invariants(n_trials: int = 500, seed: int = 0) -> float:
 
 def check_attention_convex_hull(n_trials: int = 500, seed: int = 0) -> float:
     """How far any pooled component escapes the valid rows' min/max (0 = never)."""
-    from .model import attention_pool, AttentionParams
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
@@ -172,20 +411,24 @@ def check_attention_convex_hull(n_trials: int = 500, seed: int = 0) -> float:
         d = int(rng.integers(1, 6))
         n_valid = int(rng.integers(1, T + 1))
         mask = np.array([[1.0] * n_valid + [0.0] * (T - n_valid)])
-        us = [ad.Tensor(rng.uniform(-2, 2, size=(1, d))) for _ in range(T)]
+        u = ad.Tensor(rng.uniform(-2, 2, size=(T, 1, d)))
         p = AttentionParams(
             w_a=ad.Tensor(rng.uniform(-1, 1, size=(d, 1)), trainable=True),
             b=ad.Tensor(rng.uniform(-1, 1, size=1), trainable=True),
         )
-        v, _ = attention_pool(us, p, mask)
-        valid = np.stack([us[t].data[0] for t in range(n_valid)])
+        v, _ = attention_pool([u], p, mask)
+        valid = u.data[:n_valid, 0]
         lo, hi = valid.min(axis=0), valid.max(axis=0)
         worst = max(worst, float(np.maximum(lo - v.data[0], v.data[0] - hi).max(initial=0.0)))
     return worst
 
 
 def check_padding_invariance(params: ModelParams, n_trials: int = 50, seed: int = 0) -> float:
-    """Max |Δŷ| from appending 3 PAD tokens, eval mode."""
+    """Max |Δŷ| from appending 3 PAD tokens, eval mode.
+
+    The padded row shares its batch with a row 3 tokens longer, so its PAD
+    positions are scanned as masked steps rather than trimmed away.
+    """
     rng = np.random.default_rng(seed)
     vocab_size = params.embedding.data.shape[0]
     worst = 0.0
@@ -196,8 +439,11 @@ def check_padding_invariance(params: ModelParams, n_trials: int = 50, seed: int 
         y1, _, _ = forward(idx, mask, params)
         idx_pad = np.concatenate([idx, np.zeros((1, 3), dtype=np.int64)], axis=1)
         mask_pad = np.concatenate([mask, np.zeros((1, 3))], axis=1)
-        y2, _, _ = forward(idx_pad, mask_pad, params)
-        worst = max(worst, float(np.abs(y1.data - y2.data).max()))
+        longer = rng.integers(2, vocab_size, size=(1, T + 3))
+        y2, _, _ = forward(
+            np.concatenate([idx_pad, longer]), np.concatenate([mask_pad, np.ones((1, T + 3))]), params
+        )
+        worst = max(worst, float(np.abs(y1.data - y2.data[:1]).max()))
     return worst
 
 

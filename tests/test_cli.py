@@ -67,6 +67,24 @@ def test_train_evaluate_predict_pipeline(workspace, capsys):
     assert all(0.0 < s < 1.0 for s in scores)
 
 
+def test_predict_batch_matches_line_by_line(workspace, capsys):
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
+    capsys.readouterr()
+    lines = ["happy happy wow", "", "ugh angry sad meh calm yay happy", "   ", "calm"]
+    tweets = workspace / "tweets.txt"
+    tweets.write_text("\n".join(lines) + "\n")
+    ckpt = str(workspace / "best.ckpt")
+    assert main(["predict", "--checkpoint", ckpt, "--input", str(tweets)]) == 0
+    batched = capsys.readouterr().out
+    single = []
+    for line in (line for line in lines if line.strip()):
+        tweets.write_text(line + "\n")
+        assert main(["predict", "--checkpoint", ckpt, "--input", str(tweets)]) == 0
+        single.append(capsys.readouterr().out)
+    assert batched == "".join(single)
+    assert [row.split("\t")[0] for row in batched.splitlines()] == [l for l in lines if l.strip()]
+
+
 def test_evaluate_reproduces_training_val_loss(workspace, capsys):
     # pipeline consistency: metrics recomputed from the checkpoint are stable
     main(["train", "--config", str(workspace / "run.cfg")])

@@ -3,6 +3,7 @@ import pytest
 
 from panemo import autodiff as ad
 from panemo.autodiff import Tensor
+from panemo import verify
 from panemo.model import (
     AttentionParams,
     GruDirectionParams,
@@ -11,11 +12,10 @@ from panemo.model import (
     bigru_layer,
     embed,
     forward,
-    gru_cell,
     init_params,
 )
 from panemo.textprep import random_embeddings
-from panemo.verify import build_downsized
+from panemo.verify import build_downsized, gru_cell
 
 
 def zero_gru(d_in, hidden):
@@ -42,7 +42,7 @@ class TestEmbed:
     def test_pad_row_is_zero(self):
         emb = Tensor(random_embeddings(10, 4, seed=0).weights)
         xs = embed(np.array([[0, 3]]), emb)
-        np.testing.assert_array_equal(xs[0].data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(xs.data[0], np.zeros((1, 4)))
 
     def test_equivalent_to_one_hot_matmul(self):
         emb = Tensor(random_embeddings(12, 5, seed=1).weights)
@@ -52,14 +52,14 @@ class TestEmbed:
         for t in range(20):
             one_hot = np.zeros((1, 12))
             one_hot[0, idx[0, t]] = 1.0
-            np.testing.assert_array_equal(xs[t].data, one_hot @ emb.data)
+            np.testing.assert_array_equal(xs.data[t], one_hot @ emb.data)
 
     def test_identical_sequences_identical_slices(self):
         emb = Tensor(random_embeddings(8, 3, seed=3).weights)
         idx = np.array([[2, 4, 6], [2, 4, 6]])
         xs = embed(idx, emb)
-        for x in xs:
-            np.testing.assert_array_equal(x.data[0], x.data[1])
+        for x in xs.data:
+            np.testing.assert_array_equal(x[0], x[1])
 
     def test_out_of_range_index(self):
         emb = Tensor(random_embeddings(5, 3, seed=0).weights)
@@ -112,33 +112,60 @@ class TestBigruLayer:
         rng = np.random.default_rng(8)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         x = Tensor(rng.uniform(-1, 1, (1, 3)))
-        out = bigru_layer([x], fwd, bwd, np.ones((1, 1)))
+        out = bigru_layer(Tensor(x.data[None]), fwd, bwd, np.ones((1, 1)))
         h0 = Tensor(np.zeros((1, 4)))
         expected = np.concatenate(
             [gru_cell(x, h0, fwd).data, gru_cell(x, h0, bwd).data], axis=1
         )
-        np.testing.assert_allclose(out[0].data, expected, atol=1e-15)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-15)
 
     def test_masked_suffix_matches_short_sequence(self):
         rng = np.random.default_rng(9)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
-        xs_short = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in range(3)]
-        pad = [Tensor(np.zeros((1, 3))) for _ in range(2)]
-        out_short = bigru_layer(xs_short, fwd, bwd, np.ones((1, 3)))
+        xs_short = rng.uniform(-1, 1, (3, 1, 3))
+        pad = np.zeros((2, 1, 3))
+        out_short = bigru_layer(Tensor(xs_short), fwd, bwd, np.ones((1, 3)))
         out_padded = bigru_layer(
-            xs_short + pad, fwd, bwd, np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
+            Tensor(np.concatenate([xs_short, pad])), fwd, bwd, np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
         )
         for t in range(3):
-            np.testing.assert_allclose(out_padded[t].data, out_short[t].data, atol=1e-12)
+            np.testing.assert_allclose(out_padded.data[t], out_short.data[t], atol=1e-12)
         for t in (3, 4):
-            np.testing.assert_array_equal(out_padded[t].data, np.zeros((1, 8)))
+            np.testing.assert_array_equal(out_padded.data[t], np.zeros((1, 8)))
 
     def test_zero_input_zero_params(self):
         fwd, bwd = zero_gru(3, 4), zero_gru(3, 4)
-        xs = [Tensor(np.zeros((2, 3))) for _ in range(4)]
+        xs = Tensor(np.zeros((4, 2, 3)))
         out = bigru_layer(xs, fwd, bwd, np.ones((2, 4)))
-        for o in out:
-            np.testing.assert_array_equal(o.data, np.zeros((2, 8)))
+        for o in out.data:
+            np.testing.assert_array_equal(o, np.zeros((2, 8)))
+
+
+class TestFusedOracle:
+    """The fused sequence layers against the per-step tape oracles in verify."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bigru_matches_per_step_oracle(self, seed):
+        assert verify.check_fused_bigru(seed=seed) <= 1e-12
+
+    @pytest.mark.parametrize("T, B", [(1, 2), (7, 1)])
+    def test_bigru_without_masked_steps(self, T, B):
+        # a single step, and a single full-length row: no step keeps a state
+        assert verify.check_fused_bigru(seed=3, T=T, B=B) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention_matches_per_position_oracle(self, seed):
+        assert verify.check_fused_attention(seed=seed) <= 1e-12
+
+    def test_frozen_input_gets_no_gradient(self):
+        rng = np.random.default_rng(16)
+        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+        x = Tensor(rng.uniform(-1, 1, (3, 2, 3)))
+        with ad.Tape() as tape:
+            loss = ad.tensor_sum(bigru_layer(x, fwd, bwd, np.ones((2, 3))))
+        ad.backward(loss, tape)
+        assert x.grad is None
+        assert np.abs(fwd.W_ir.grad).max() > 0.0
 
 
 class TestAttentionPool:
@@ -150,44 +177,44 @@ class TestAttentionPool:
 
     def test_single_position(self):
         rng = np.random.default_rng(10)
-        u = Tensor(rng.uniform(-1, 1, (1, 5)))
+        u = Tensor(rng.uniform(-1, 1, (1, 1, 5)))
         v, a = attention_pool([u], self.make_params(rng, 5), np.ones((1, 1)))
-        np.testing.assert_allclose(v.data, u.data, atol=1e-15)
+        np.testing.assert_allclose(v.data, u.data[0], atol=1e-15)
         np.testing.assert_allclose(a, [[1.0]])
 
     def test_identical_rows(self):
         rng = np.random.default_rng(11)
         row = rng.uniform(-1, 1, (1, 4))
-        us = [Tensor(row) for _ in range(5)]
-        v, _ = attention_pool(us, self.make_params(rng, 4), np.ones((1, 5)))
+        us = Tensor(np.stack([row] * 5))
+        v, _ = attention_pool([us], self.make_params(rng, 4), np.ones((1, 5)))
         np.testing.assert_allclose(v.data, row, atol=1e-12)
 
     def test_hand_set_scores(self):
         # scores ln2 and 0 -> weights 2/3, 1/3
         u1, u2 = np.array([[1.0, 0.0]]), np.array([[0.0, 3.0]])
         p = AttentionParams(w_a=Tensor(np.zeros((2, 1))), b=Tensor(np.zeros(1)))
-        us = [Tensor(u1), Tensor(u2)]
+        us = Tensor(np.stack([u1, u2]))
         # score u1 via w_a so that e1 = ln2, e2 = 0
         p.w_a.data[0, 0] = np.log(2.0)
-        v, a = attention_pool(us, p, np.ones((1, 2)))
+        v, a = attention_pool([us], p, np.ones((1, 2)))
         np.testing.assert_allclose(a, [[2 / 3, 1 / 3]], atol=1e-15)
         np.testing.assert_allclose(v.data, (2 / 3) * u1 + (1 / 3) * u2, atol=1e-15)
 
     def test_bias_shift_invariance(self):
         rng = np.random.default_rng(12)
-        us = [Tensor(rng.uniform(-1, 1, (1, 4))) for _ in range(4)]
+        us = Tensor(rng.uniform(-1, 1, (4, 1, 4)))
         p = self.make_params(rng, 4)
-        v1, a1 = attention_pool(us, p, np.ones((1, 4)))
+        v1, a1 = attention_pool([us], p, np.ones((1, 4)))
         p.b.data[...] += 17.0
-        v2, a2 = attention_pool(us, p, np.ones((1, 4)))
+        v2, a2 = attention_pool([us], p, np.ones((1, 4)))
         np.testing.assert_allclose(a1, a2, atol=1e-12)
         np.testing.assert_allclose(v1.data, v2.data, atol=1e-12)
 
     def test_convex_hull(self):
         rng = np.random.default_rng(13)
-        us = [Tensor(rng.uniform(-2, 2, (1, 3))) for _ in range(6)]
-        v, _ = attention_pool(us, self.make_params(rng, 3), np.ones((1, 6)))
-        stacked = np.stack([u.data[0] for u in us])
+        us = Tensor(rng.uniform(-2, 2, (6, 1, 3)))
+        v, _ = attention_pool([us], self.make_params(rng, 3), np.ones((1, 6)))
+        stacked = us.data[:, 0]
         assert np.all(v.data[0] >= stacked.min(axis=0) - 1e-12)
         assert np.all(v.data[0] <= stacked.max(axis=0) + 1e-12)
 
@@ -218,6 +245,17 @@ class TestForward:
         msk_p = np.concatenate([np.ones((1, 4)), np.zeros((1, 3))], axis=1)
         y2, _, _ = forward(idx_p, msk_p, params)
         assert np.abs(y1.data - y2.data).max() < 1e-12
+
+    def test_trimmed_batch_keeps_input_length(self):
+        params = build_downsized(seed=0)
+        idx = np.array([[2, 3, 0, 0, 0, 0], [4, 5, 6, 0, 0, 0]])
+        msk = (idx > 0).astype(float)
+        yhat, a1, a2 = forward(idx, msk, params)
+        y_short, b1, b2 = forward(idx[:, :3], msk[:, :3], params)
+        assert yhat.data.tobytes() == y_short.data.tobytes()
+        assert a1.shape == (2, 6) and a2.shape == (2, 6)
+        np.testing.assert_array_equal(a1[:, :3], b1)
+        np.testing.assert_array_equal(a2[:, 3:], np.zeros((2, 3)))
 
     def test_eval_deterministic(self):
         params = build_downsized(seed=0)

@@ -22,7 +22,12 @@ from panemo.training import (
     train,
     weighted_bce,
 )
-from panemo.verify import build_downsized, make_synthetic_dataset, overfit_harness
+from panemo.verify import (
+    build_downsized,
+    make_synthetic_dataset,
+    overfit_harness,
+    train_mode_gradcheck,
+)
 
 
 class TestWeightedBce:
@@ -329,3 +334,8 @@ def test_train_eval_asymmetry_vanishes_without_regularizers():
         idx, msk, params, mode="train", dropout_dense=0.0, spatial_dropout=0.0, rng=rngs
     )
     assert np.abs(y_eval.data - y_train.data).max() < 1e-12
+
+
+def test_train_mode_gradient_check():
+    """Dropout, spatial dropout and weight noise on, with their draws held fixed."""
+    assert train_mode_gradcheck(seed=0) < 1e-4
