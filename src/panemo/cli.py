@@ -54,15 +54,22 @@ def load_run_config(path) -> dict:
     return config
 
 
+def _typed(run: dict, key: str, target: type):
+    """run[key] as ``target``; a value of the wrong type is a ConfigError naming the key."""
+    raw = run[key]
+    try:
+        return target(raw) if isinstance(raw, str) else raw
+    except ValueError:
+        raise ConfigError(f"{key}={raw!r} is not a valid {target.__name__}") from None
+
+
 def _training_config(run: dict) -> TrainingConfig:
     defaults = TrainingConfig()
-    kwargs = {}
-    for f in fields(TrainingConfig):
-        if f.name in run:
-            raw = run[f.name]
-            target = type(getattr(defaults, f.name))
-            kwargs[f.name] = target(raw) if isinstance(raw, str) else raw
-    return TrainingConfig(**kwargs)
+    return TrainingConfig(**{
+        f.name: _typed(run, f.name, type(getattr(defaults, f.name)))
+        for f in fields(TrainingConfig)
+        if f.name in run
+    })
 
 
 def _require_file(path_str: str, what: str) -> Path:
@@ -78,10 +85,11 @@ def cmd_train(args) -> int:
         if key not in run:
             raise ConfigError(f"{args.config}: missing required key {key!r}")
     tcfg = _training_config(run)
-    max_len = int(run["max_len"])
-    min_count = int(run["min_count"])
-    d_emb = int(run["d_emb"])
-    hidden = int(run["hidden"])
+    sizes = {key: _typed(run, key, int) for key in ("max_len", "min_count", "d_emb", "hidden")}
+    for key, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"{key}={value} must be >= 1")
+    max_len, min_count, d_emb, hidden = sizes.values()
 
     raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
     raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))

@@ -188,13 +188,17 @@ def bigru_layer(
     carried hidden state unchanged, so batch padding cannot alter the valid
     prefix.
 
-    The input projection of all T steps of both directions is one GEMM. The
-    two recurrences then run side by side as a (2, B, .) stack, the backward
-    direction in reversed time. The backward rule is hand-written BPTT: the
-    input weights get one GEMM after the loop, the hidden weights one small
-    GEMM per step, and the gradients are split back onto the 12 per-gate
-    tensors of each direction (which may be weight-noise views of the clean
-    parameters).
+    The scan is packed. A row's end is its last valid position + 1, and no
+    position past it is stepped. Rows are ranked by end, longest first, so
+    scan step s works on the first k[s] ranks: time s in the forward
+    direction and time end - 1 - s in the backward direction, which reads
+    each row's own prefix reversed. The input projection of the N = sum(end)
+    scanned positions of both directions is one GEMM; the two recurrences
+    then run side by side as a (2, k[s], .) stack. The backward rule is
+    hand-written BPTT: the input weights get one GEMM after the loop, the
+    hidden weights one small GEMM per step, and the gradients are split back
+    onto the 12 per-gate tensors of each direction (which may be weight-noise
+    views of the clean parameters).
     """
     T, B, d_in = x.data.shape
     H = fwd.W_hr.data.shape[0]
@@ -208,36 +212,59 @@ def bigru_layer(
     )[:, None]
     b_in = np.stack([p.b_in.data for p in dirs])[:, None]
 
-    x2 = x.data.reshape(T * B, d_in)
-    xp = (x2 @ W_i).reshape(T, B, 6 * H)
-    # Stacked per-step arrays are (2, T, B, .) in step order: [0, s] is time s
-    # of the forward scan, [1, s] is time T-1-s of the backward scan.
-    valid = np.asarray(mask).T[:, :, None] > 0
-    masked = np.stack([~valid, ~valid[::-1]])
-    ragged = masked.any(axis=(0, 2, 3))  # steps where some row keeps its state
+    # Packed position off[s] + i is step s of rank i in both directions;
+    # per-position arrays are (2, N, .), forward direction first.
+    valid = np.asarray(mask).T > 0  # (T, B)
+    ends = np.where(valid.any(axis=0), T - valid[::-1].argmax(axis=0), 0)
+    order = np.argsort(-ends, kind="stable")
+    k = np.count_nonzero(ends[order] > np.arange(ends.max(initial=0))[:, None], axis=1)
+    off = np.concatenate([[0], np.cumsum(k)])
+    S, N = k.size, int(off[-1])
+    packed = N < T * B  # otherwise every row ends at T and packing is the identity
+    x_rows = x.data.reshape(T * B, d_in)
+    vf = valid.reshape(T * B)
+    if packed:
+        step = np.repeat(np.arange(S), k)
+        rank = np.arange(N) - off[step]
+        fidx = step * B + order[rank]  # (t, b) -> t * B + b of each forward-packed position
+        perm = off[ends[order][rank] - 1 - step] + rank  # backward-packed -> forward-packed
+        bidx = fidx[perm]
+        x_rows, vf = x_rows[fidx], vf[fidx]
+    masked = ~np.stack([vf, vf[perm] if packed else valid[::-1].reshape(N)])[..., None]
+    ragged = np.logical_or.reduceat(masked.any(axis=0)[:, 0], off[:S])  # steps that carry a state
+    k, off = k.tolist(), off.tolist()
+    # the backward direction's step s is read at xb[boff[s]:]; unpacked, that
+    # is time T-1-s of the projection itself
+    boff = off[:S] if packed else off[S - 1 :: -1]
+
+    xp = x_rows @ W_i  # (N, 6H), forward-packed
+    xb = xp[perm, 3 * H :] if packed else xp[:, 3 * H :]
     # what the backward rule needs is kept only while a tape records
     keep = ad.current_tape() is not None
-    RZ = np.empty((2, T if keep else 1, B, 2 * H))
+    RZ = np.empty((2, N if keep else B, 2 * H))
     if keep:
         # With h' = n + z (h - n) and a_g the pre-activation of gate g:
         # DN = dh'/da_n = (1 - z)(1 - n^2), and COEF holds dh'/d(h W_h + b_h)
         # per gate: [DN hn r (1 - r), (h - n) z (1 - z), DN r], hn = W_hn h + b_hn.
-        DN = np.empty((2, T, B, H))
-        COEF = np.empty((2, T, B, 3, H))
-    C = np.empty((2, T + 1, B, H))  # carried state; C[:, s] is h_prev of step s
-    C[:, 0] = 0.0
-    n = np.empty((2, B, H))
-    h_minus_n = np.empty((2, B, H))
+        DN = np.empty((2, N, H))
+        COEF = np.empty((2, N, 3, H))
+    C = np.empty((2, N, H))  # state after each packed position, h_prev of the next step
+    h0 = np.zeros((2, B, H))
+    n_buf = np.empty((2, B, H))
+    hmn_buf = np.empty((2, B, H))
 
-    for s in range(T):
-        t_b = T - 1 - s
-        h, h_next = C[:, s], C[:, s + 1]
-        rz = RZ[:, s if keep else 0]
+    for s in range(S):
+        kk, bo = k[s], boff[s]
+        rows = slice(off[s], off[s] + kk)
+        h = C[:, off[s - 1] : off[s - 1] + kk] if s else h0[:, :kk]
+        h_next = C[:, rows]
+        rz = RZ[:, rows] if keep else RZ[:, :kk]
         r, z = rz[..., :H], rz[..., H:]
+        n, h_minus_n = n_buf[:, :kk], hmn_buf[:, :kk]
         hp = np.matmul(h, W_h)
         hp += b_h
-        np.add(xp[s, :, : 2 * H], hp[0, :, : 2 * H], out=rz[0])
-        np.add(xp[t_b, :, 3 * H : 5 * H], hp[1, :, : 2 * H], out=rz[1])
+        np.add(xp[rows, : 2 * H], hp[0, :, : 2 * H], out=rz[0])
+        np.add(xb[bo : bo + kk, : 2 * H], hp[1, :, : 2 * H], out=rz[1])
         np.negative(rz, out=rz)
         np.exp(rz, out=rz)
         rz += 1.0
@@ -245,16 +272,16 @@ def bigru_layer(
         hn = hp[..., 2 * H :]
         np.multiply(hn, r, out=n)
         n += b_in
-        n[0] += xp[s, :, 2 * H : 3 * H]
-        n[1] += xp[t_b, :, 5 * H :]
+        n[0] += xp[rows, 2 * H : 3 * H]
+        n[1] += xb[bo : bo + kk, 2 * H :]
         np.tanh(n, out=n)
         np.subtract(h, n, out=h_minus_n)
         np.multiply(z, h_minus_n, out=h_next)
         h_next += n
         if ragged[s]:
-            np.copyto(h_next, h, where=masked[:, s])
+            np.copyto(h_next, h, where=masked[:, rows])
         if keep:
-            dn, c_r, c_z, c_n = DN[:, s], COEF[:, s, :, 0], COEF[:, s, :, 1], COEF[:, s, :, 2]
+            dn, c_r, c_z, c_n = DN[:, rows], COEF[:, rows, 0], COEF[:, rows, 1], COEF[:, rows, 2]
             np.multiply(n, n, out=dn)
             np.subtract(1.0, dn, out=dn)
             np.subtract(1.0, z, out=c_z)
@@ -266,60 +293,81 @@ def bigru_layer(
             c_r *= c_n
             c_r *= hn
 
-    y = Tensor(np.empty((T, B, 2 * H)))
-    np.multiply(C[0, 1:], valid, out=y.data[..., :H])
-    np.multiply(C[1, :0:-1], valid, out=y.data[..., H:])
+    if packed:
+        y = Tensor(np.zeros((T, B, 2 * H)))
+        y_rows = y.data.reshape(T * B, 2 * H)
+        y_rows[fidx, :H] = C[0] * ~masked[0]
+        y_rows[bidx, H:] = C[1] * ~masked[1]
+    else:
+        y = Tensor(np.empty((T, B, 2 * H)))
+        np.multiply(C[0].reshape(T, B, H), valid[..., None], out=y.data[..., :H])
+        np.multiply(C[1].reshape(T, B, H)[::-1], valid[..., None], out=y.data[..., H:])
 
     def backward():
         g = y.grad
         if g is None:
             return
-        G = np.empty((2, T, B, H))
-        G[0] = g[..., :H]
-        G[1] = g[::-1, :, H:]
+        G = np.empty((2, N, H))
+        if packed:
+            g_rows = g.reshape(T * B, 2 * H)
+            G[0] = g_rows[fidx, :H]
+            G[1] = g_rows[bidx, H:]
+        else:
+            G[0].reshape(T, B, H)[...] = g[..., :H]
+            G[1].reshape(T, B, H)[...] = g[::-1, :, H:]
         W_hT = W_h.transpose(0, 2, 1)
-        D_xp = np.empty((T, B, 6 * H))  # d loss / d (x W_i + b_i), in time order
+        D_xp = np.empty((N, 6 * H))  # d loss / d (x W_i + b_i), forward-packed
+        D_b = np.empty((N, 3 * H)) if packed else D_xp[:, 3 * H :]  # its backward half, as xb
         dW_h = np.zeros((2, H, 3 * H))
         db_hn = np.zeros((2, H))
+        # d loss / d h from the next step; ranks that end at this step get 0
         dh = np.zeros((2, B, H))
-        d_new = np.empty((2, B, H))
-        d_hp = np.empty((2, B, 3, H))  # d loss / d (h_prev W_h + b_h), per gate
+        d_new_buf = np.empty((2, B, H))
+        d_hp_buf = np.empty((2, B, 3, H))  # d loss / d (h_prev W_h + b_h), per gate
         tmp = np.empty((2, B, H))
-        for s in range(T - 1, -1, -1):
-            t_b = T - 1 - s
-            np.add(G[:, s], dh, out=d_new)
+        for s in range(S - 1, -1, -1):
+            kk, bo = k[s], boff[s]
+            rows = slice(off[s], off[s] + kk)
+            d_new, d_hp, dh_carry = d_new_buf[:, :kk], d_hp_buf[:, :kk], dh[:, :kk]
+            np.add(G[:, rows], dh_carry, out=d_new)
             if ragged[s]:
-                np.copyto(d_new, 0.0, where=masked[:, s])
-            np.multiply(d_new[:, :, None, :], COEF[:, s], out=d_hp)
-            d_hp3 = d_hp.reshape(2, B, 3 * H)
-            dW_h += np.matmul(C[:, s].transpose(0, 2, 1), d_hp3)
+                np.copyto(d_new, 0.0, where=masked[:, rows])
+            np.multiply(d_new[:, :, None, :], COEF[:, rows], out=d_hp)
+            d_hp3 = d_hp.reshape(2, kk, 3 * H)
+            if s:  # the first step's h_prev is the zero initial state
+                dW_h += np.matmul(C[:, off[s - 1] : off[s - 1] + kk].transpose(0, 2, 1), d_hp3)
+                dh_prev = np.matmul(d_hp3, W_hT)
+                np.multiply(d_new, RZ[:, rows, H:], out=tmp[:, :kk])
+                dh_prev += tmp[:, :kk]
+                if ragged[s]:
+                    np.copyto(dh_prev, dh_carry, where=masked[:, rows])
+                dh_carry[...] = dh_prev
             db_hn += d_hp[:, :, 2].sum(axis=1)
-            dh_next = np.matmul(d_hp3, W_hT)
-            np.multiply(d_new, RZ[:, s, :, H:], out=tmp)
-            dh_next += tmp
-            if ragged[s]:
-                np.copyto(dh_next, dh, where=masked[:, s])
-            dh = dh_next
             # the r and z pre-activations take x and h alike; n's x part is unscaled by r
-            D_xp[s, :, : 2 * H] = d_hp3[0, :, : 2 * H]
-            np.multiply(d_new[0], DN[0, s], out=D_xp[s, :, 2 * H : 3 * H])
-            D_xp[t_b, :, 3 * H : 5 * H] = d_hp3[1, :, : 2 * H]
-            np.multiply(d_new[1], DN[1, s], out=D_xp[t_b, :, 5 * H :])
+            D_xp[rows, : 2 * H] = d_hp3[0, :, : 2 * H]
+            np.multiply(d_new[0], DN[0, rows], out=D_xp[rows, 2 * H : 3 * H])
+            D_b[bo : bo + kk, : 2 * H] = d_hp3[1, :, : 2 * H]
+            np.multiply(d_new[1], DN[1, rows], out=D_b[bo : bo + kk, 2 * H :])
+        if packed:
+            D_xp[perm, 3 * H :] = D_b
 
-        D_xp = D_xp.reshape(T * B, 6 * H)
-        dW_i = x2.T @ D_xp
+        dW_i = x_rows.T @ D_xp
         db_i = D_xp.sum(axis=0)
         if ad.needs_grad(x):
-            ad.accumulate_grad(x, (D_xp @ W_i.T).reshape(T, B, d_in))
-        for k, p in enumerate(dirs):
+            dx = D_xp @ W_i.T
+            if packed:
+                dx_rows, dx = dx, np.zeros((T * B, d_in))
+                dx[fidx] = dx_rows
+            ad.accumulate_grad(x, dx.reshape(T, B, d_in))
+        for d, p in enumerate(dirs):
             for j, gate in enumerate("rzn"):
-                cols = slice((3 * k + j) * H, (3 * k + j + 1) * H)
+                cols = slice((3 * d + j) * H, (3 * d + j + 1) * H)
                 ad.accumulate_grad(getattr(p, f"W_i{gate}"), dW_i[:, cols])
                 ad.accumulate_grad(getattr(p, f"b_i{gate}"), db_i[cols])
-                ad.accumulate_grad(getattr(p, f"W_h{gate}"), dW_h[k][:, j * H : (j + 1) * H])
-            ad.accumulate_grad(p.b_hr, db_i[3 * k * H : (3 * k + 1) * H])
-            ad.accumulate_grad(p.b_hz, db_i[(3 * k + 1) * H : (3 * k + 2) * H])
-            ad.accumulate_grad(p.b_hn, db_hn[k])
+                ad.accumulate_grad(getattr(p, f"W_h{gate}"), dW_h[d][:, j * H : (j + 1) * H])
+            ad.accumulate_grad(p.b_hr, db_i[3 * d * H : (3 * d + 1) * H])
+            ad.accumulate_grad(p.b_hz, db_i[(3 * d + 1) * H : (3 * d + 2) * H])
+            ad.accumulate_grad(p.b_hn, db_hn[d])
 
     ad.record(backward, y)
     return y

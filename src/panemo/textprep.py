@@ -161,7 +161,9 @@ def load_semeval_tsv(path) -> RawDataset:
     """Load a SemEval 2018 E-c style TSV: ID, Tweet, then the 11 emotions.
 
     The header must name the emotions in canonical order; labels are the
-    literal strings "0"/"1". Raises ParseError with the offending row number.
+    literal strings "0"/"1"; the tweet must hold at least one token (it has
+    no positions to attend over otherwise). Raises ParseError with the
+    offending row number.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -192,8 +194,11 @@ def load_semeval_tsv(path) -> RawDataset:
                     f"{path}: row {rownum} has non-binary label {val!r} for {name}"
                 )
             row_labels.append(int(val))
+        tokens = tokenize(cols[1])
+        if not tokens:
+            raise ParseError(f"{path}: row {rownum} has an empty tweet")
         ids.append(cols[0])
-        token_lists.append(tokenize(cols[1]))
+        token_lists.append(tokens)
         labels.append(row_labels)
     return RawDataset(ids=ids, token_lists=token_lists, labels=labels)
 
@@ -235,13 +240,16 @@ class EmbeddingMatrix:
 def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> EmbeddingMatrix:
     """Read "word v1 ... v_d" lines; fill missing rows from a seeded PRNG.
 
-    In-file vectors are copied verbatim. The PAD row stays zero; UNK and
-    out-of-file words get i.i.d. uniform(-0.05, 0.05) entries.
+    In-file vectors are copied verbatim; a non-numeric value on a copied
+    line, or a non-finite value in a copied vector, is a ParseError naming
+    the line. The PAD row stays zero; UNK and out-of-file words get i.i.d.
+    uniform(-0.05, 0.05) entries.
     """
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-0.05, 0.05, size=(len(vocab), d_emb))
     weights[PAD_INDEX] = 0.0
     found = np.zeros(len(vocab), dtype=bool)
+    lines = [0] * len(vocab)  # source line of each copied row
 
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -256,9 +264,16 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
             if word in vocab:
                 idx = vocab.index(word)
                 if idx not in (PAD_INDEX, UNK_INDEX):
-                    weights[idx] = [float(v) for v in values]
+                    try:
+                        weights[idx] = values  # parsed as float() parses each one
+                    except ValueError:
+                        raise ParseError(f"{path}: line {lineno} has a non-numeric value") from None
                     found[idx] = True
+                    lines[idx] = lineno
 
+    bad = np.flatnonzero(found & ~np.isfinite(weights).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: line {min(lines[i] for i in bad)} has a non-finite value")
     coverage = float(found.sum()) / max(len(vocab) - 2, 1)
     return EmbeddingMatrix(weights=weights, coverage=coverage)
 

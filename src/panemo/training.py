@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError, TrainingDivergedError
+from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .model import ModelParams, forward
 from .textprep import Dataset
 
@@ -45,13 +45,14 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for rate in (self.dropout_dense, self.spatial_dropout):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"dropout rate {rate} outside [0, 1)")
+        for key in ("dropout_dense", "spatial_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key}={getattr(self, key)} outside [0, 1)")
         if self.lr_floor > self.lr_init:
-            raise ValueError("lr_floor must not exceed lr_init")
-        if self.lr_halve_patience < 1 or self.early_stop_patience < 1:
-            raise ValueError("patience values must be >= 1")
+            raise ConfigError(f"lr_floor={self.lr_floor} exceeds lr_init={self.lr_init}")
+        for key in ("lr_halve_patience", "early_stop_patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}={getattr(self, key)} must be >= 1")
 
 
 def weighted_bce(yhat: Tensor, y: np.ndarray, w: float) -> Tensor:

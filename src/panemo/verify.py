@@ -209,17 +209,39 @@ def _random_gru(rng, d_in: int, hidden: int) -> GruDirectionParams:
     )
 
 
-def check_fused_bigru(seed: int = 0, T: int = 7, B: int = 5, d_in: int = 6, hidden: int = 4) -> float:
+# Masks that drive the packed scan off its common path: rows that must be
+# re-ranked, rows that start masked, rows that are never stepped, and batches
+# where every row ends at T (packing is then the identity).
+PACKING_MASKS = {
+    name: np.array([[float(c) for c in row] for row in rows])
+    for name, rows in {
+        "ascending lengths": ["1000000", "1100000", "1111000", "1111110", "1111111"],
+        "leading masked positions": ["0011100", "1111000", "0000001", "0111111", "1100000"],
+        "empty rows": ["1110000", "0000000", "1111111", "1000000", "0000000"],
+        "equal lengths": ["1111111"] * 5,
+        "equal ends with gaps": ["0111111", "1111111", "1101101", "0000001", "1111111"],
+        "single short row": ["1110000"],
+    }.items()
+}
+
+
+def check_fused_bigru(
+    seed: int = 0, T: int = 7, B: int = 5, d_in: int = 6, hidden: int = 4, mask=None
+) -> float:
     """Worst relative difference between ``model.bigru_layer`` and the per-step
     oracle: the outputs, dX and the gradients of all 24 gate tensors.
 
-    The batch has ragged masks (a length-1 row, a row with a masked gap), and
-    the hidden weights carry ``add_const`` noise as in a training step, so the
-    gate gradients reach the clean weights through the noise op.
+    By default the batch has ragged masks (a length-1 row, a row with a masked
+    gap); a given (B, T) ``mask`` replaces them and sets T and B. The hidden
+    weights carry ``add_const`` noise as in a training step, so the gate
+    gradients reach the clean weights through the noise op.
     """
     rng = np.random.default_rng(seed)
+    if mask is not None:
+        B, T = mask.shape
     dirs = [_random_gru(rng, d_in, hidden) for _ in range(2)]
-    mask = _oracle_mask(rng, T, B)
+    if mask is None:
+        mask = _oracle_mask(rng, T, B)
     x = rng.uniform(-1, 1, (T, B, d_in)) * mask.T[:, :, None]
     probe = rng.uniform(-1, 1, (T, B, 2 * hidden))  # loss = sum(probe * outputs)
     noise = [rng.normal(0.0, 0.1, (3, hidden, hidden)) for _ in dirs]
@@ -475,13 +497,19 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
     """Run the invariant suites; returns (name, worst_error, tolerance, passed)."""
     n = 100 if quick else 500
     n_metrics = 200 if quick else 1000
+    oracle_seeds = range(seed, seed + (2 if quick else 10))
     params = build_downsized(seed)
+    bigru = max(
+        check_fused_bigru(s, mask=m) for s in oracle_seeds for m in [None, *PACKING_MASKS.values()]
+    )
     results = []
     for name, worst, tol in [
         ("masked_softmax invariants", check_softmax_invariants(n, seed), 1e-12),
         ("attention convex hull", check_attention_convex_hull(n, seed), 1e-12),
         ("padding invariance", check_padding_invariance(params, max(n // 10, 20), seed), 1e-12),
         ("metric oracle equivalence", check_metric_oracles(n_metrics, seed=seed), 1e-12),
+        ("fused BiGRU vs per-step oracle", bigru, 1e-12),
+        ("fused attention vs per-position oracle", max(map(check_fused_attention, oracle_seeds)), 1e-12),
     ]:
         results.append((name, worst, tol, worst < tol))
     return results

@@ -106,7 +106,28 @@ def test_gradcheck_deterministic(capsys):
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 6
+
+
+EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config_line, dev_row, message",
+    [
+        ("seed=abc\n", "", "seed"),
+        ("dropout_dense=1.5\n", "", "dropout_dense"),
+        ("", EMPTY_TWEET_ROW, "row 8 has an empty tweet"),
+    ],
+)
+def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
+    with open(workspace / "run.cfg", "a") as fh:
+        fh.write(config_line)
+    with open(workspace / "dev.tsv", "a") as fh:
+        fh.write(dev_row)
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_unknown_config_key(tmp_path):

@@ -153,6 +153,12 @@ class TestFusedOracle:
         # a single step, and a single full-length row: no step keeps a state
         assert verify.check_fused_bigru(seed=3, T=T, B=B) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(verify.PACKING_MASKS))
+    def test_bigru_packing_layouts(self, name):
+        # re-ranked rows, leading masked steps, empty rows, unpacked batches, B = 1
+        for seed in range(3):
+            assert verify.check_fused_bigru(seed=seed, mask=verify.PACKING_MASKS[name]) <= 1e-12
+
     @pytest.mark.parametrize("seed", range(3))
     def test_attention_matches_per_position_oracle(self, seed):
         assert verify.check_fused_attention(seed=seed) <= 1e-12
@@ -256,6 +262,19 @@ class TestForward:
         assert a1.shape == (2, 6) and a2.shape == (2, 6)
         np.testing.assert_array_equal(a1[:, :3], b1)
         np.testing.assert_array_equal(a2[:, 3:], np.zeros((2, 3)))
+
+    def test_row_permutation_permutes_outputs(self):
+        params = build_downsized(seed=0)
+        rng = np.random.default_rng(18)
+        lengths = [3, 7, 1, 5, 2, 7]
+        msk = np.array([[1.0] * n + [0.0] * (7 - n) for n in lengths])
+        idx = rng.integers(2, 20, size=(6, 7)) * msk.astype(np.int64)
+        perm = rng.permutation(6)
+        y, a1, a2 = forward(idx, msk, params)
+        y_p, a1_p, a2_p = forward(idx[perm], msk[perm], params)
+        np.testing.assert_allclose(y_p.data, y.data[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a1_p, a1[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a2_p, a2[perm], rtol=0, atol=1e-12)
 
     def test_eval_deterministic(self):
         params = build_downsized(seed=0)

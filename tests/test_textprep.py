@@ -87,6 +87,13 @@ class TestLoadTsv:
         with pytest.raises(ParseError, match="non-binary"):
             tp.load_semeval_tsv(path)
 
+    def test_empty_tweet(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        good = "id\tfine words\t" + "\t".join(["0"] * 11)
+        path.write_text(HEADER + "\n" + good + "\nid2\t  \t" + "\t".join(["0"] * 11) + "\n")
+        with pytest.raises(ParseError, match=r"d\.tsv: row 3 has an empty tweet"):
+            tp.load_semeval_tsv(path)
+
     def test_wrong_header_order(self, tmp_path):
         bad = "ID\tTweet\t" + "\t".join(reversed(tp.EMOTIONS))
         path = tmp_path / "d.tsv"
@@ -175,4 +182,12 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.0 2.0 3.0\n")
         with pytest.raises(ParseError, match="line 1"):
+            tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "-inf", "1e999"])
+    def test_bad_value_on_copied_line(self, tmp_path, bad):
+        vocab = tp.build_vocabulary([["cat", "dog"]])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"cat 1.0 2.0\nowl {bad} 0.0\ndog 0.5 {bad}\n")
+        with pytest.raises(ParseError, match="line 3"):
             tp.load_embeddings(path, vocab, d_emb=2, seed=0)
