@@ -325,6 +325,19 @@ def concat_features(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
+def softmax_rows(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (B, T) scores over the positions where the 0/1
+    mask is set, exactly zero elsewhere; the forward values of
+    ``masked_softmax``. Its gradient rule is ds = a * (g - sum(a * g)).
+    """
+    if np.any(m.sum(axis=1) == 0):
+        raise EmptySequenceError("masked_softmax: a row has no valid positions")
+    neg = np.where(m > 0, s, -np.inf)
+    shifted = neg - neg.max(axis=1, keepdims=True)
+    e = np.where(m > 0, np.exp(np.where(m > 0, shifted, 0.0)), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def masked_softmax(scores: Tensor, mask) -> Tensor:
     """Softmax over valid positions; masked positions are exactly zero.
 
@@ -340,12 +353,7 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     if squeeze:
         s = s[None, :]
         m = m[None, :]
-    if np.any(m.sum(axis=1) == 0):
-        raise EmptySequenceError("masked_softmax: a row has no valid positions")
-    neg = np.where(m > 0, s, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
-    e = np.where(m > 0, np.exp(np.where(m > 0, shifted, 0.0)), 0.0)
-    a = e / e.sum(axis=1, keepdims=True)
+    a = softmax_rows(s, m)
     out = Tensor(a[0] if squeeze else a)
 
     def bwd():

@@ -39,6 +39,9 @@ MAGIC = b"PANCKPT1"
 # sanity bound: no tensor in this model has a dimension anywhere near this
 _MAX_DIM = 1 << 32
 
+# config keys that fix the model's tensor shapes
+_MODEL_KEYS = ("d_emb", "hidden", "n_labels")
+
 
 def _write_block(out: bytearray, payload: bytes):
     out += struct.pack("<I", len(payload))
@@ -101,6 +104,12 @@ class _Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.context}: {what} is not UTF-8") from None
+
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (ModelParams, Vocabulary, config dict, best_val_loss)."""
@@ -114,7 +123,7 @@ def load_checkpoint(path):
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_records):
         name_len = r.u32("record name length")
-        name = r.take(name_len, "record name").decode("utf-8")
+        name = r.text(name_len, "record name")
         rank = r.u32(f"rank of {name}")
         dims = []
         for d in range(rank):
@@ -129,8 +138,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: duplicate record {name}")
         tensors[name] = values
 
-    vocab_block = r.take(r.u32("vocabulary length"), "vocabulary").decode("utf-8")
-    config_block = r.take(r.u32("config length"), "config").decode("utf-8")
+    vocab_block = r.text(r.u32("vocabulary length"), "vocabulary")
+    config_block = r.text(r.u32("config length"), "config")
     best_val_loss = struct.unpack("<d", r.take(8, "best validation loss"))[0]
 
     tokens = vocab_block.split("\n")
@@ -141,12 +150,21 @@ def load_checkpoint(path):
         key, _, val = line.partition("=")
         config[key] = _parse_value(val)
 
-    model_config = ModelConfig(
-        d_emb=int(config["d_emb"]),
-        hidden=int(config["hidden"]),
-        n_labels=int(config["n_labels"]),
-    )
-    params = _rebuild_params(tensors, model_config, str(path))
+    sizes = {}
+    for key in _MODEL_KEYS:
+        if key not in config:
+            raise CheckpointError(f"{path}: config is missing key {key!r}")
+        value = config[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise CheckpointError(f"{path}: config key {key}={value!r} is not a positive integer")
+        sizes[key] = value
+    model_config = ModelConfig(**sizes)
+    embedding = tensors.get("embedding")
+    if embedding is not None and embedding.shape[:1] != (len(vocab),):
+        raise CheckpointError(
+            f"{path}: vocabulary has {len(vocab)} tokens but record embedding has shape {embedding.shape}"
+        )
+    params = _rebuild_params(tensors, model_config, len(vocab), str(path))
     return params, vocab, config, best_val_loss
 
 
@@ -157,11 +175,43 @@ def _parse_value(text: str):
         return text
 
 
-def _rebuild_params(tensors, config: ModelConfig, context: str) -> ModelParams:
+def _expected_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every record of a model of ``config``."""
+    h = config.hidden
+    shapes = {"embedding": (vocab_size, config.d_emb)}
+    for layer, d_in in (("gru1", config.d_emb), ("gru2", config.d_h)):
+        for direction in ("fwd", "bwd"):
+            for gate in "rzn":
+                prefix = f"{layer}.{direction}"
+                shapes[f"{prefix}.W_i{gate}"] = (d_in, h)
+                shapes[f"{prefix}.W_h{gate}"] = (h, h)
+                shapes[f"{prefix}.b_i{gate}"] = (h,)
+                shapes[f"{prefix}.b_h{gate}"] = (h,)
+    shapes.update({
+        "attn1.w_a": (config.d_u1, 1),
+        "attn1.b": (1,),
+        "attn2.w_a": (config.d_u2, 1),
+        "attn2.b": (1,),
+        "dense.W_d": (config.d_v, config.n_labels),
+        "dense.b_d": (config.n_labels,),
+    })
+    return shapes
+
+
+def _rebuild_params(tensors, config: ModelConfig, vocab_size: int, context: str) -> ModelParams:
+    shapes = _expected_shapes(config, vocab_size)
+
     def get(name: str, trainable=True) -> Tensor:
         if name not in tensors:
             raise CheckpointError(f"{context}: missing record {name}")
-        return Tensor(tensors.pop(name), trainable=trainable)
+        values = tensors.pop(name)
+        if values.shape != shapes[name]:
+            raise CheckpointError(
+                f"{context}: record {name} has shape {values.shape}, expected {shapes[name]}"
+            )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{context}: record {name} has a non-finite value")
+        return Tensor(values, trainable=trainable)
 
     def gru(prefix: str) -> GruDirectionParams:
         names = [f.name for f in fields(GruDirectionParams)]

@@ -172,7 +172,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    err = verify.downsized_gradcheck(seed=args.seed, eps=args.eps)
+    check = verify.train_mode_gradcheck if args.train_mode else verify.downsized_gradcheck
+    err = check(seed=args.seed, eps=args.eps)
     print(f"max relative error: {err:.3e}")
     return 0 if err < 1e-4 else 2
 
@@ -210,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient check, downsized model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument(
+        "--train-mode",
+        action="store_true",
+        help="check the train-mode forward: dropout, spatial dropout and weight noise on, draws held fixed",
+    )
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("selftest", help="run the invariant property suites")

@@ -155,18 +155,132 @@ def init_params(embedding: EmbeddingMatrix, config: ModelConfig, seed: int) -> M
     )
 
 
-def embed(indices: np.ndarray, embedding: Tensor) -> Tensor:
-    """Row lookup of a (B, T) index batch into a (T, B, d_emb) sequence.
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout keep mask: survivors scaled by 1/(1-p)."""
+    keep = rng.random(shape) >= p
+    return keep.astype(np.float64) / (1.0 - p)
 
+
+def spatial_dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-example channel mask (B, d); applied identically at every position."""
+    return dropout_mask(shape, p, rng)
+
+
+class Packing:
+    """Step-major layout of the scanned positions of a (B, T) 0/1 mask.
+
+    A row's end is its last valid position + 1, and no position past it is
+    scanned. Rows are ranked by end, longest first (stable), so scan step s
+    holds the first k[s] ranks. The N = sum(end) scanned positions are kept
+    as N rows of a 2-D array: row off[s] + i is step s of rank i, which is
+    time s of batch row order[i]. The sequence layers pass such (N, d) rows
+    from one to the next, so no position past a row's end is stored or
+    computed on.
+
+    When every row ends at T the packing is the identity (``packed`` is
+    False): row t * B + b is time t of batch row b, and each conversion
+    below is a reshape instead of a gather.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        valid = np.asarray(mask).T > 0  # (T, B)
+        T, B = valid.shape
+        ends = np.where(valid.any(axis=0), T - valid[::-1].argmax(axis=0), 0)
+        order = np.argsort(-ends, kind="stable")
+        k = np.count_nonzero(ends[order] > np.arange(ends.max(initial=0))[:, None], axis=1)
+        off = np.concatenate([[0], np.cumsum(k)])
+        S, N = k.size, int(off[-1])
+        self.T, self.B, self.S, self.N = T, B, S, N
+        self.packed = N < T * B
+        self.order = order
+        if self.packed:
+            step = np.repeat(np.arange(S), k)
+            rank = np.arange(N) - off[step]
+            self.batch = order[rank]  # batch row of each packed row
+            self.index = step * B + self.batch  # its position t * B + b
+            self.cell = rank * S + step  # its cell of a (B, S) ranks-by-steps grid
+            # The backward scan steps each row's own prefix reversed (time
+            # end - 1 - s); bperm maps its packed rows to forward-packed ones.
+            self.bperm = off[ends[order][rank] - 1 - step] + rank
+            valid = valid.reshape(T * B)[self.index]
+            bvalid = valid[self.bperm]
+        else:
+            bvalid = valid[::-1].reshape(N)
+            valid = valid.reshape(N)
+        self.grid_mask = self.to_grid(valid.astype(np.float64))
+        # Masked positions of both scan directions, and the steps holding one:
+        # only those steps carry a state past a position.
+        self.masked = ~np.stack([valid, bvalid])[..., None]
+        self.ragged = np.logical_or.reduceat(self.masked.any(axis=0)[:, 0], off[:S])
+        self.k, self.off = k.tolist(), off.tolist()
+        # Runs of steps that hold the same ranks, as (first row, end row,
+        # steps, ranks): their rows form a regular (steps, ranks) block.
+        firsts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
+        self.runs = [
+            (self.off[s0], self.off[s1], s1 - s0, self.k[s0]) for s0, s1 in zip(firsts, firsts[1:] + [S])
+        ]
+        # the backward scan's step s is read at this row of the forward-packed
+        # projection; unpacked, that is time T - 1 - s
+        self.boff = self.off[:S] if self.packed else self.off[S - 1 :: -1]
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """A (T, B, ...) per-position array as its (N, ...) packed rows."""
+        rows = a.reshape(self.T * self.B, *a.shape[2:])
+        return rows[self.index] if self.packed else rows
+
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """(N, ...) packed rows as a (T, B, ...) array, zero where nothing is scanned."""
+        if not self.packed:
+            return rows.reshape(self.T, self.B, *rows.shape[1:])
+        out = np.zeros((self.T * self.B, *rows.shape[1:]))
+        out[self.index] = rows
+        return out.reshape(self.T, self.B, *rows.shape[1:])
+
+    def to_grid(self, values: np.ndarray) -> np.ndarray:
+        """(N,) per-row values as the (B, S) grid of ranks by steps, zero off the rows."""
+        if not self.packed:
+            return values.reshape(self.S, self.B).T
+        grid = np.zeros(self.B * self.S)
+        grid[self.cell] = values
+        return grid.reshape(self.B, self.S)
+
+    def from_grid(self, grid: np.ndarray) -> np.ndarray:
+        """The (N,) per-row values of a (B, S) grid of ranks by steps."""
+        if not self.packed:
+            return grid.T.reshape(self.N)
+        return grid.reshape(-1)[self.cell]
+
+    def unrank(self, ranked: np.ndarray) -> np.ndarray:
+        """A (B, ...) per-rank array in batch row order."""
+        if not self.packed:
+            return ranked
+        out = np.empty_like(ranked)
+        out[self.order] = ranked
+        return out
+
+    def scale(self, rows: np.ndarray, per_row: np.ndarray) -> np.ndarray:
+        """(N, d) rows times the (B, d) factor of each one's batch row."""
+        if self.packed:
+            return rows * per_row[self.batch]
+        return (rows.reshape(self.T, self.B, -1) * per_row).reshape(self.N, -1)
+
+
+def embed(
+    indices: np.ndarray, embedding: Tensor, mask: np.ndarray, pack: Packing | None = None
+) -> Tensor:
+    """Row lookup of the scanned positions of a (B, T) index batch.
+
+    Returns the (N, d_emb) packed rows of ``pack``, the packing of ``mask``.
     Equivalent to one-hot matmul against the embedding table. No gradient
     flows to the (frozen) table.
     """
-    indices = np.asarray(indices)
+    pack = Packing(mask) if pack is None else pack
+    indices = pack.pack(np.asarray(indices).T)
     if indices.max(initial=0) >= embedding.data.shape[0] or indices.min(initial=0) < 0:
         raise IndexError(
             f"token index out of range for vocabulary of {embedding.data.shape[0]}"
         )
-    return Tensor(embedding.data[indices.T])
+    return Tensor(embedding.data[indices])
 
 
 def bigru_layer(
@@ -174,33 +288,35 @@ def bigru_layer(
     fwd: GruDirectionParams,
     bwd: GruDirectionParams,
     mask: np.ndarray,
+    pack: Packing | None = None,
 ) -> Tensor:
-    """Bidirectional GRU scan over a (T, B, d_in) sequence, as one tape op.
+    """Bidirectional GRU scan over a sequence, as one tape op.
 
-    Returns (T, B, 2*hidden): [h_fwd ; h_bwd] per position. Per direction:
+    ``x`` holds the (N, d_in) packed rows of ``pack``, the packing of the
+    (B, T) 0/1 ``mask``. Returns the (N, 2*hidden) rows [h_fwd ; h_bwd] of
+    the same packing. Per direction:
 
         r = sigma(W_ir x + b_ir + W_hr h + b_hr)
         z = sigma(W_iz x + b_iz + W_hz h + b_hz)
         n = tanh(W_in x + b_in + r * (W_hn h + b_hn))   # r gates the affine hidden term
         h' = (1 - z) * n + z * h
 
-    Positions where the 0/1 ``mask`` (B, T) is 0 emit zeros and leave the
-    carried hidden state unchanged, so batch padding cannot alter the valid
-    prefix.
+    Masked positions emit zeros and leave the carried hidden state
+    unchanged, so batch padding cannot alter the valid prefix.
 
-    The scan is packed. A row's end is its last valid position + 1, and no
-    position past it is stepped. Rows are ranked by end, longest first, so
-    scan step s works on the first k[s] ranks: time s in the forward
+    Scan step s works on the first k[s] ranks: time s in the forward
     direction and time end - 1 - s in the backward direction, which reads
-    each row's own prefix reversed. The input projection of the N = sum(end)
-    scanned positions of both directions is one GEMM; the two recurrences
-    then run side by side as a (2, k[s], .) stack. The backward rule is
-    hand-written BPTT: the input weights get one GEMM after the loop, the
-    hidden weights one small GEMM per step, and the gradients are split back
-    onto the 12 per-gate tensors of each direction (which may be weight-noise
-    views of the clean parameters).
+    each row's own prefix reversed. The input projection of both directions
+    is one GEMM over the N rows; the two recurrences then run side by side
+    as a (2, k[s], .) stack. The backward rule is hand-written BPTT: the
+    input weights get one GEMM after the loop, the hidden weights one small
+    GEMM per step, and the gradients are split back onto the 12 per-gate
+    tensors of each direction (which may be weight-noise views of the clean
+    parameters).
     """
-    T, B, d_in = x.data.shape
+    pack = Packing(mask) if pack is None else pack
+    x_rows = x.data
+    T, B, S, N = pack.T, pack.B, pack.S, pack.N
     H = fwd.W_hr.data.shape[0]
     dirs = (fwd, bwd)
     W_i = np.concatenate([getattr(p, f"W_i{g}").data for p in dirs for g in "rzn"], axis=1)
@@ -212,33 +328,11 @@ def bigru_layer(
     )[:, None]
     b_in = np.stack([p.b_in.data for p in dirs])[:, None]
 
-    # Packed position off[s] + i is step s of rank i in both directions;
-    # per-position arrays are (2, N, .), forward direction first.
-    valid = np.asarray(mask).T > 0  # (T, B)
-    ends = np.where(valid.any(axis=0), T - valid[::-1].argmax(axis=0), 0)
-    order = np.argsort(-ends, kind="stable")
-    k = np.count_nonzero(ends[order] > np.arange(ends.max(initial=0))[:, None], axis=1)
-    off = np.concatenate([[0], np.cumsum(k)])
-    S, N = k.size, int(off[-1])
-    packed = N < T * B  # otherwise every row ends at T and packing is the identity
-    x_rows = x.data.reshape(T * B, d_in)
-    vf = valid.reshape(T * B)
-    if packed:
-        step = np.repeat(np.arange(S), k)
-        rank = np.arange(N) - off[step]
-        fidx = step * B + order[rank]  # (t, b) -> t * B + b of each forward-packed position
-        perm = off[ends[order][rank] - 1 - step] + rank  # backward-packed -> forward-packed
-        bidx = fidx[perm]
-        x_rows, vf = x_rows[fidx], vf[fidx]
-    masked = ~np.stack([vf, vf[perm] if packed else valid[::-1].reshape(N)])[..., None]
-    ragged = np.logical_or.reduceat(masked.any(axis=0)[:, 0], off[:S])  # steps that carry a state
-    k, off = k.tolist(), off.tolist()
-    # the backward direction's step s is read at xb[boff[s]:]; unpacked, that
-    # is time T-1-s of the projection itself
-    boff = off[:S] if packed else off[S - 1 :: -1]
-
+    # Per-position arrays are (2, N, .), forward direction first, each in its
+    # own scan order: C[1] row off[s] + i is the backward scan's step s.
+    k, off, boff, masked, ragged = pack.k, pack.off, pack.boff, pack.masked, pack.ragged
     xp = x_rows @ W_i  # (N, 6H), forward-packed
-    xb = xp[perm, 3 * H :] if packed else xp[:, 3 * H :]
+    xb = xp[pack.bperm, 3 * H :] if pack.packed else xp[:, 3 * H :]
     # what the backward rule needs is kept only while a tape records
     keep = ad.current_tape() is not None
     RZ = np.empty((2, N if keep else B, 2 * H))
@@ -293,31 +387,27 @@ def bigru_layer(
             c_r *= c_n
             c_r *= hn
 
-    if packed:
-        y = Tensor(np.zeros((T, B, 2 * H)))
-        y_rows = y.data.reshape(T * B, 2 * H)
-        y_rows[fidx, :H] = C[0] * ~masked[0]
-        y_rows[bidx, H:] = C[1] * ~masked[1]
-    else:
-        y = Tensor(np.empty((T, B, 2 * H)))
-        np.multiply(C[0].reshape(T, B, H), valid[..., None], out=y.data[..., :H])
-        np.multiply(C[1].reshape(T, B, H)[::-1], valid[..., None], out=y.data[..., H:])
+    y = Tensor(np.empty((N, 2 * H)))
+    np.multiply(C[0], ~masked[0], out=y.data[:, :H])
+    if pack.packed:
+        y.data[pack.bperm, H:] = C[1] * ~masked[1]
+    else:  # the backward scan's step s is time T - 1 - s
+        y_seq = y.data.reshape(T, B, 2 * H)
+        np.multiply(C[1].reshape(T, B, H)[::-1], ~masked[0].reshape(T, B, 1), out=y_seq[..., H:])
 
     def backward():
         g = y.grad
         if g is None:
             return
         G = np.empty((2, N, H))
-        if packed:
-            g_rows = g.reshape(T * B, 2 * H)
-            G[0] = g_rows[fidx, :H]
-            G[1] = g_rows[bidx, H:]
+        G[0] = g[:, :H]
+        if pack.packed:
+            G[1] = g[pack.bperm, H:]
         else:
-            G[0].reshape(T, B, H)[...] = g[..., :H]
-            G[1].reshape(T, B, H)[...] = g[::-1, :, H:]
+            G[1].reshape(T, B, H)[...] = g.reshape(T, B, 2 * H)[::-1, :, H:]
         W_hT = W_h.transpose(0, 2, 1)
         D_xp = np.empty((N, 6 * H))  # d loss / d (x W_i + b_i), forward-packed
-        D_b = np.empty((N, 3 * H)) if packed else D_xp[:, 3 * H :]  # its backward half, as xb
+        D_b = np.empty((N, 3 * H)) if pack.packed else D_xp[:, 3 * H :]  # its backward half, as xb
         dW_h = np.zeros((2, H, 3 * H))
         db_hn = np.zeros((2, H))
         # d loss / d h from the next step; ranks that end at this step get 0
@@ -348,17 +438,13 @@ def bigru_layer(
             np.multiply(d_new[0], DN[0, rows], out=D_xp[rows, 2 * H : 3 * H])
             D_b[bo : bo + kk, : 2 * H] = d_hp3[1, :, : 2 * H]
             np.multiply(d_new[1], DN[1, rows], out=D_b[bo : bo + kk, 2 * H :])
-        if packed:
-            D_xp[perm, 3 * H :] = D_b
+        if pack.packed:
+            D_xp[pack.bperm, 3 * H :] = D_b
 
         dW_i = x_rows.T @ D_xp
         db_i = D_xp.sum(axis=0)
         if ad.needs_grad(x):
-            dx = D_xp @ W_i.T
-            if packed:
-                dx_rows, dx = dx, np.zeros((T * B, d_in))
-                dx[fidx] = dx_rows
-            ad.accumulate_grad(x, dx.reshape(T, B, d_in))
+            ad.accumulate_grad(x, D_xp @ W_i.T)
         for d, p in enumerate(dirs):
             for j, gate in enumerate("rzn"):
                 cols = slice((3 * d + j) * H, (3 * d + j + 1) * H)
@@ -373,70 +459,65 @@ def bigru_layer(
     return y
 
 
-def _feature_bounds(us: list[Tensor]) -> list[tuple[int, int]]:
-    """(start, end) column range of each block in u = concat(us)."""
-    ends = np.cumsum([u.data.shape[2] for u in us]).tolist()
-    return list(zip([0] + ends[:-1], ends))
-
-
-def _attention_scores(us: list[Tensor], p: AttentionParams) -> Tensor:
-    """Per-position scores e = u . w_a + b as (B, T), for u = concat(us)."""
-    T, B, _ = us[0].data.shape
-    flat = [u.data.reshape(T * B, -1) for u in us]
-    bounds = _feature_bounds(us)
-    w = p.w_a.data
-    e = sum(f @ w[lo:hi] for f, (lo, hi) in zip(flat, bounds))
-    out = Tensor(e.reshape(T, B).T + p.b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        gT = np.ascontiguousarray(g.T)
-        for u, (lo, hi) in zip(us, bounds):
-            if ad.needs_grad(u):
-                ad.accumulate_grad(u, gT[:, :, None] * w[lo:hi, 0])
-        g_flat = gT.reshape(T * B, 1)
-        ad.accumulate_grad(p.w_a, np.concatenate([f.T @ g_flat for f in flat]))
-        ad.accumulate_grad(p.b, np.array([g.sum()]))
-
-    ad.record(backward, out)
-    return out
-
-
-def _weighted_sum(us: list[Tensor], a: Tensor) -> Tensor:
-    """sum_t a[b, t] * u[t, b, :] as (B, d_u), for u = concat(us) and (B, T) weights."""
-    out = Tensor(np.concatenate([np.einsum("bt,tbd->bd", a.data, u.data) for u in us], axis=1))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        aT = a.data.T[:, :, None]
-        da = np.zeros_like(a.data)
-        for u, (lo, hi) in zip(us, _feature_bounds(us)):
-            g_u = g[:, lo:hi]
-            if ad.needs_grad(u):
-                ad.accumulate_grad(u, aT * g_u)
-            da += np.einsum("tbd,bd->bt", u.data, g_u)
-        ad.accumulate_grad(a, da)
-
-    ad.record(backward, out)
-    return out
-
-
 def attention_pool(
-    us: list[Tensor], p: AttentionParams, mask: np.ndarray
+    us: list[Tensor], p: AttentionParams, mask: np.ndarray, pack: Packing | None = None
 ) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted sum over the positions of a (T, B, d_u) sequence.
+    """Softmax-weighted sum over the valid positions of each batch row, as
+    one tape op.
 
-    The sequence u is given as its feature blocks ``us``, each (T, B, d_k),
+    The sequence u is given as its feature blocks ``us``, each holding the
+    (N, d_k) packed rows of ``pack``, the packing of the (B, T) ``mask``,
     with u = concat(us) on the last axis; no concatenated copy is built.
-    Returns the pooled (B, d_u) tensor and the (B, T) attention weights for
-    inspection.
+    Scores e = u . w_a + b are one GEMV per block. The masked softmax runs
+    on the small (B, S) grid of ranks by steps, so a row without a valid
+    position raises EmptySequenceError. The weighted sum, and in the
+    backward rule the gradients of the weights and of u, are computed per
+    run of scan steps that hold the same ranks, on (steps, ranks, d) views
+    of the rows. Returns the pooled (B, d_u) tensor and the (B, T) attention
+    weights for inspection.
     """
-    weights = ad.masked_softmax(_attention_scores(us, p), mask)
-    return _weighted_sum(us, weights), weights.data.copy()
+    pack = Packing(mask) if pack is None else pack
+    ends = np.cumsum([u.data.shape[1] for u in us]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    w = p.w_a.data[:, 0]
+    e = sum(u.data @ w[lo:hi] for u, (lo, hi) in zip(us, bounds))
+    a = ad.softmax_rows(pack.to_grid(e) + p.b.data, pack.grid_mask)
+    a_rows = pack.from_grid(a)
+    runs = [(slice(r0, r1), a_rows[r0:r1].reshape(steps, kk), kk) for r0, r1, steps, kk in pack.runs]
+    pooled = []  # per block, rows by rank
+    for u in us:
+        acc = np.zeros((pack.B, u.data.shape[1]))
+        for rows, a_run, kk in runs:
+            acc[:kk] += np.einsum("sk,skd->kd", a_run, u.data[rows].reshape(*a_run.shape, -1))
+        pooled.append(acc)
+    out = Tensor(pack.unrank(np.concatenate(pooled, axis=1)))
+    weights = np.zeros((pack.B, pack.T))
+    weights[:, : pack.S] = pack.unrank(a)
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        g = g[pack.order] if pack.packed else g  # per rank
+        gs = [np.ascontiguousarray(g[:, lo:hi]) for lo, hi in bounds]
+        da = np.zeros(pack.N)
+        for rows, a_run, kk in runs:
+            da_run = da[rows].reshape(a_run.shape)
+            for u, g_u in zip(us, gs):
+                da_run += np.einsum("skd,kd->sk", u.data[rows].reshape(*a_run.shape, -1), g_u[:kk])
+        da = pack.to_grid(da)
+        de = pack.from_grid(a * (da - (a * da).sum(axis=1, keepdims=True)))
+        for u, g_u, (lo, hi) in zip(us, gs, bounds):
+            if ad.needs_grad(u):
+                du = np.outer(de, w[lo:hi])
+                for rows, a_run, kk in runs:
+                    du[rows].reshape(*a_run.shape, -1)[...] += a_run[..., None] * g_u[:kk]
+                ad.accumulate_grad(u, du)
+        ad.accumulate_grad(p.w_a, np.concatenate([u.data.T @ de for u in us])[:, None])
+        ad.accumulate_grad(p.b, np.array([de.sum()]))
+
+    ad.record(backward, out)
+    return out, weights
 
 
 def forward(
@@ -458,33 +539,30 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    from .training import dropout_mask, spatial_dropout_mask  # local: avoids cycle
-
     spatial_rng = getattr(rng, "spatial", rng)
     dense_rng = getattr(rng, "dense", rng)
 
     mask = np.asarray(mask, dtype=np.float64)
     T = mask.shape[1]
     # Positions past the batch's longest valid length are masked in every
-    # row; masked steps carry h unchanged and emit zeros, so dropping them
-    # leaves the result unchanged.
+    # row and never scanned. Trimming them makes a batch whose rows all end
+    # at the same position an unpacked one, with no gather.
     valid = np.flatnonzero(mask.any(axis=0))
     length = int(valid[-1]) + 1 if valid.size else 1
     mask = mask[:, :length]
-    x = embed(np.asarray(indices)[:, :length], params.embedding)
+    pack = Packing(mask)
+    x = embed(np.asarray(indices)[:, :length], params.embedding, mask, pack)
 
     if mode == "train" and spatial_dropout > 0.0:
-        ch_mask = spatial_dropout_mask(
-            (x.data.shape[1], params.config.d_emb), spatial_dropout, spatial_rng
-        )
+        ch_mask = spatial_dropout_mask((mask.shape[0], params.config.d_emb), spatial_dropout, spatial_rng)
         # the embedding is frozen, so the dropped-out input needs no gradient
-        x = Tensor(x.data * ch_mask)
+        x = Tensor(pack.scale(x.data, ch_mask))
 
-    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask)
-    h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask)
+    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack)
+    h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask, pack)
 
-    v1, a1 = attention_pool([h1, x], params.attn1, mask)
-    v2, a2 = attention_pool([h2, h1, x], params.attn2, mask)
+    v1, a1 = attention_pool([h1, x], params.attn1, mask, pack)
+    v2, a2 = attention_pool([h2, h1, x], params.attn2, mask, pack)
     v = ad.concat_features([v1, v2])
 
     if mode == "train" and dropout_dense > 0.0:

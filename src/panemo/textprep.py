@@ -237,10 +237,38 @@ class EmbeddingMatrix:
         return self.weights.shape[1]
 
 
+# Characters of the float literals that np.loadtxt and float() read alike;
+# copied values with any other character are parsed line by line instead.
+_BULK_SAFE = b"0123456789eE+-.naifANIFtyTY \n"
+
+
+def _parse_vectors(path, texts: list[str], lines: list[int], d_emb: int) -> np.ndarray:
+    """The (len(texts), d_emb) values of space-separated vector texts.
+
+    One bulk parse when every text uses only float-literal characters;
+    otherwise, or if that parse fails, each text is parsed as float() parses
+    its values, and the first non-numeric one is a ParseError naming its line.
+    """
+    joined = "\n".join(texts).encode("utf-8")
+    if texts and not joined.translate(None, _BULK_SAFE):
+        try:
+            return np.loadtxt(texts, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    values = np.empty((len(texts), d_emb))
+    for i, (text, lineno) in enumerate(zip(texts, lines)):
+        try:
+            values[i] = text.split(" ")
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno} has a non-numeric value") from None
+    return values
+
+
 def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> EmbeddingMatrix:
     """Read "word v1 ... v_d" lines; fill missing rows from a seeded PRNG.
 
-    In-file vectors are copied verbatim; a non-numeric value on a copied
+    Every line must hold d_emb values. In-file vectors are copied verbatim,
+    the last line of a repeated word winning; a non-numeric value on a copied
     line, or a non-finite value in a copied vector, is a ParseError naming
     the line. The PAD row stays zero; UNK and out-of-file words get i.i.d.
     uniform(-0.05, 0.05) entries.
@@ -248,33 +276,34 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-0.05, 0.05, size=(len(vocab), d_emb))
     weights[PAD_INDEX] = 0.0
-    found = np.zeros(len(vocab), dtype=bool)
-    lines = [0] * len(vocab)  # source line of each copied row
+    # vocabulary row, source line and value text of every line to copy
+    rows, lines, texts = [], [], []
 
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
+            word, sep, text = line.rstrip("\n").partition(" ")
+            if not sep:
                 continue
-            word, values = parts[0], parts[1:]
-            if len(values) != d_emb:
+            if text.count(" ") + 1 != d_emb:
+                _parse_vectors(path, texts, lines, d_emb)  # an earlier non-numeric line comes first
                 raise ParseError(
-                    f"{path}: line {lineno} has {len(values)} values, expected {d_emb}"
+                    f"{path}: line {lineno} has {text.count(' ') + 1} values, expected {d_emb}"
                 )
-            if word in vocab:
-                idx = vocab.index(word)
-                if idx not in (PAD_INDEX, UNK_INDEX):
-                    try:
-                        weights[idx] = values  # parsed as float() parses each one
-                    except ValueError:
-                        raise ParseError(f"{path}: line {lineno} has a non-numeric value") from None
-                    found[idx] = True
-                    lines[idx] = lineno
+            idx = vocab.index(word)
+            if idx not in (PAD_INDEX, UNK_INDEX):
+                rows.append(idx)
+                lines.append(lineno)
+                texts.append(text)
 
-    bad = np.flatnonzero(found & ~np.isfinite(weights).all(axis=1))
-    if bad.size:
-        raise ParseError(f"{path}: line {min(lines[i] for i in bad)} has a non-finite value")
-    coverage = float(found.sum()) / max(len(vocab) - 2, 1)
+    values = _parse_vectors(path, texts, lines, d_emb)
+    last = dict(zip(rows, range(len(rows))))  # vocabulary row -> its last copied line
+    idx = np.fromiter(last.keys(), dtype=np.int64, count=len(last))
+    sel = np.fromiter(last.values(), dtype=np.int64, count=len(last))
+    weights[idx] = values[sel]
+    bad = ~np.isfinite(values[sel]).all(axis=1)
+    if bad.any():
+        raise ParseError(f"{path}: line {np.asarray(lines)[sel][bad].min()} has a non-finite value")
+    coverage = float(len(last)) / max(len(vocab) - 2, 1)
     return EmbeddingMatrix(weights=weights, coverage=coverage)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .model import ModelParams, forward
+from .model import ModelParams, dropout_mask, forward
 from .textprep import Dataset
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
@@ -20,8 +20,6 @@ STREAM_SHUFFLE = 0
 STREAM_DROPOUT = 1
 STREAM_SPATIAL = 2
 STREAM_NOISE = 3
-STREAM_INIT = 4
-STREAM_OOV = 5
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -88,17 +86,6 @@ def l2_penalty(params: ModelParams, coeff: float) -> Tensor:
         return Tensor(0.0)
     terms = [ad.square_sum(w) for w in params.weight_matrices()]
     return ad.scale(ad.add_scalars(terms), coeff)
-
-
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout keep mask: survivors scaled by 1/(1-p)."""
-    keep = rng.random(shape) >= p
-    return keep.astype(np.float64) / (1.0 - p)
-
-
-def spatial_dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-example channel mask (B, d); applied identically at every position."""
-    return dropout_mask(shape, p, rng)
 
 
 def apply_dropout(x: Tensor, p: float, mode: str, rng, variant: str = "standard") -> Tensor:
@@ -227,11 +214,12 @@ def _batch_arrays(dataset: Dataset):
 
 
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.named_parameters()}
+    """Copies of the trainable tensors; the frozen embedding never changes."""
+    return {name: t.data.copy() for name, t in params.trainable_parameters()}
 
 
 def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
-    for name, t in params.named_parameters():
+    for name, t in params.trainable_parameters():
         t.data[...] = snap[name]
 
 

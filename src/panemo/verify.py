@@ -21,6 +21,7 @@ from .model import (
     GruDirectionParams,
     ModelConfig,
     ModelParams,
+    Packing,
     attention_pool,
     bigru_layer,
     forward,
@@ -225,6 +226,14 @@ PACKING_MASKS = {
 }
 
 
+def random_ragged_mask(rng, T: int, B: int) -> np.ndarray:
+    """A random (B, T) 0/1 mask with gaps and leading and trailing masked
+    positions; every row has at least one valid position."""
+    mask = (rng.random((B, T)) < rng.uniform(0.2, 0.9)).astype(np.float64)
+    mask[np.arange(B), rng.integers(0, T, B)] = 1.0
+    return mask
+
+
 def check_fused_bigru(
     seed: int = 0, T: int = 7, B: int = 5, d_in: int = 6, hidden: int = 4, mask=None
 ) -> float:
@@ -243,6 +252,7 @@ def check_fused_bigru(
     if mask is None:
         mask = _oracle_mask(rng, T, B)
     x = rng.uniform(-1, 1, (T, B, d_in)) * mask.T[:, :, None]
+    pack = Packing(mask)
     probe = rng.uniform(-1, 1, (T, B, 2 * hidden))  # loss = sum(probe * outputs)
     noise = [rng.normal(0.0, 0.1, (3, hidden, hidden)) for _ in dirs]
 
@@ -259,9 +269,10 @@ def check_fused_bigru(
         with ad.Tape() as tape:
             fwd, bwd = (noisy(p, eps) for p, eps in zip(dirs, noise))
             if fused:
-                xs = Tensor(x, trainable=True)
-                out = bigru_layer(xs, fwd, bwd, mask)
-                loss = ad.tensor_sum(ad.mul_const(out, probe))
+                xs = Tensor(pack.pack(x), trainable=True)
+                out = bigru_layer(xs, fwd, bwd, mask, pack)
+                loss = ad.tensor_sum(ad.mul_const(out, pack.pack(probe)))
+                out = Tensor(pack.unpack(out.data))
             else:
                 xs = [Tensor(x[t], trainable=True) for t in range(T)]
                 outs = reference_bigru_layer(xs, fwd, bwd, mask)
@@ -270,25 +281,29 @@ def check_fused_bigru(
                 )
                 out = Tensor(np.stack([o.data for o in outs]))
         ad.backward(loss, tape)
-        dx = xs.grad if fused else np.stack([t.grad for t in xs])
+        dx = pack.unpack(xs.grad) if fused else np.stack([t.grad for t in xs])
         grads = [t.grad.copy() for p in dirs for t in vars(p).values()]
         return [out.data, dx] + grads
 
     return max(_relative_error(f, o) for f, o in zip(run(True), run(False)))
 
 
-def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6) -> float:
+def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mask=None) -> float:
     """Worst relative difference between ``model.attention_pool`` and the
     per-position oracle: pooled output, weights, dU and the w_a gradient, on
-    the same ragged masks as ``check_fused_bigru``. The fused side gets u as
-    two feature blocks, the second frozen as the embedding block is in the
-    model.
+    the same ragged masks as ``check_fused_bigru`` or on a given (B, T)
+    ``mask`` (every row with a valid position). The fused side gets u as the
+    packed rows of two feature blocks, the second frozen as the embedding
+    block is in the model.
 
     The true gradient of the bias b is 0 (softmax shift invariance) and both
     sides give rounding noise there, so it counts in absolute terms.
     """
     rng = np.random.default_rng(seed)
-    mask = _oracle_mask(rng, T, B)
+    if mask is None:
+        mask = _oracle_mask(rng, T, B)
+    B, T = mask.shape
+    pack = Packing(mask)
     u = rng.uniform(-1, 1, (T, B, d))
     split = d // 2
     p = AttentionParams(
@@ -302,14 +317,14 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6) -> 
         p.b.zero_grad()
         with ad.Tape() as tape:
             if fused:
-                us = [Tensor(u[..., :split], trainable=True), Tensor(u[..., split:])]
-                pooled, weights = attention_pool(us, p, mask)
+                us = [Tensor(pack.pack(u[..., :split]), trainable=True), Tensor(pack.pack(u[..., split:]))]
+                pooled, weights = attention_pool(us, p, mask, pack)
             else:
                 us = [Tensor(u[t], trainable=True) for t in range(T)]
                 pooled, weights = reference_attention_pool(us, p, mask)
             loss = ad.tensor_sum(ad.mul_const(pooled, probe))
         ad.backward(loss, tape)
-        du = us[0].grad if fused else np.stack([t.grad for t in us])[..., :split]
+        du = pack.unpack(us[0].grad) if fused else np.stack([t.grad for t in us])[..., :split]
         return [pooled.data, weights, du, p.w_a.grad.copy()], float(np.abs(p.b.grad).max())
 
     (fused, b_fused), (oracle, b_oracle) = run(True), run(False)
@@ -433,13 +448,14 @@ def check_attention_convex_hull(n_trials: int = 500, seed: int = 0) -> float:
         d = int(rng.integers(1, 6))
         n_valid = int(rng.integers(1, T + 1))
         mask = np.array([[1.0] * n_valid + [0.0] * (T - n_valid)])
-        u = ad.Tensor(rng.uniform(-2, 2, size=(T, 1, d)))
+        u = rng.uniform(-2, 2, size=(T, 1, d))
         p = AttentionParams(
             w_a=ad.Tensor(rng.uniform(-1, 1, size=(d, 1)), trainable=True),
             b=ad.Tensor(rng.uniform(-1, 1, size=1), trainable=True),
         )
-        v, _ = attention_pool([u], p, mask)
-        valid = u.data[:n_valid, 0]
+        pack = Packing(mask)
+        v, _ = attention_pool([ad.Tensor(pack.pack(u))], p, mask, pack)
+        valid = u[:n_valid, 0]
         lo, hi = valid.min(axis=0), valid.max(axis=0)
         worst = max(worst, float(np.maximum(lo - v.data[0], v.data[0] - hi).max(initial=0.0)))
     return worst
@@ -502,6 +518,12 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
     bigru = max(
         check_fused_bigru(s, mask=m) for s in oracle_seeds for m in [None, *PACKING_MASKS.values()]
     )
+    rng = np.random.default_rng(seed)
+    attention_masks = [m for m in PACKING_MASKS.values() if m.any(axis=1).all()]
+    attention_masks += [
+        random_ragged_mask(rng, int(rng.integers(1, 10)), int(rng.integers(1, 8))) for _ in oracle_seeds
+    ]
+    packed_attention = max(check_fused_attention(s, mask=m) for s in oracle_seeds for m in attention_masks)
     results = []
     for name, worst, tol in [
         ("masked_softmax invariants", check_softmax_invariants(n, seed), 1e-12),
@@ -510,6 +532,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         ("metric oracle equivalence", check_metric_oracles(n_metrics, seed=seed), 1e-12),
         ("fused BiGRU vs per-step oracle", bigru, 1e-12),
         ("fused attention vs per-position oracle", max(map(check_fused_attention, oracle_seeds)), 1e-12),
+        ("packed attention vs per-position oracle", packed_attention, 1e-12),
     ]:
         results.append((name, worst, tol, worst < tol))
     return results

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from panemo.autodiff import Tensor
+from panemo.checkpoint import save_checkpoint
 from panemo.cli import load_run_config, main
 from panemo.errors import ConfigError
-from panemo.textprep import EMOTIONS
+from panemo.textprep import EMOTIONS, Vocabulary
+from panemo.training import TrainingConfig
+from panemo.verify import build_downsized
 
 
 WORDS = ["happy", "angry", "sad", "calm", "wow", "meh", "yay", "ugh"]
@@ -103,10 +107,17 @@ def test_gradcheck_deterministic(capsys):
     assert first.startswith("max relative error:")
 
 
+def test_gradcheck_train_mode(capsys):
+    assert main(["gradcheck", "--train-mode", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("max relative error:")
+    assert float(out.split(":")[1]) < 1e-4
+
+
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
 
 
 EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
@@ -150,3 +161,47 @@ def test_bad_checkpoint_is_user_error(tmp_path, capsys):
     assert main(["evaluate", "--checkpoint", str(bad), "--data", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.strip().count("\n") == 0
+
+
+def _wrong_shape(params, tokens):
+    params.attn2.w_a = Tensor(np.zeros((7, 1)), trainable=True)
+
+
+def _non_finite(params, tokens):
+    params.W_d.data[0, 0] = np.inf
+
+
+def _short_vocabulary(params, tokens):
+    tokens.pop()
+
+
+@pytest.mark.parametrize(
+    "edit, replace, message",
+    [
+        pytest.param(None, (b"n_labels=", b"x_labels="), "missing key 'n_labels'", id="missing config key"),
+        pytest.param(None, (b"hidden=4", b"hidden=x"), "hidden='x'", id="bad config value"),
+        pytest.param(
+            _wrong_shape, None, "record attn2.w_a has shape (7, 1), expected (24, 1)", id="tensor shape"
+        ),
+        pytest.param(
+            None, (b"hidden=4", b"hidden=5"), "record gru1.fwd.W_ir has shape (8, 4)", id="config shape"
+        ),
+        pytest.param(_short_vocabulary, None, "vocabulary has 19 tokens", id="vocabulary size"),
+        pytest.param(_non_finite, None, "record dense.W_d has a non-finite value", id="non-finite value"),
+        pytest.param(None, (b"tok17", b"tok\xff7"), "vocabulary is not UTF-8", id="non-UTF-8 vocabulary"),
+    ],
+)
+def test_bad_checkpoint_record_is_user_error(tmp_path, capsys, edit, replace, message):
+    params = build_downsized(seed=0)
+    tokens = [f"tok{i}" for i in range(18)]
+    if edit is not None:
+        edit(params, tokens)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, Vocabulary(tokens), TrainingConfig(), 0.5, path)
+    if replace is not None:
+        path.write_bytes(path.read_bytes().replace(*replace))
+    data = tmp_path / "dev.tsv"
+    write_tsv(data, 3, seed=0)
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and message in err

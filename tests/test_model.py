@@ -4,10 +4,12 @@ import pytest
 from panemo import autodiff as ad
 from panemo.autodiff import Tensor
 from panemo import verify
+from panemo.errors import EmptySequenceError
 from panemo.model import (
     AttentionParams,
     GruDirectionParams,
     ModelConfig,
+    Packing,
     attention_pool,
     bigru_layer,
     embed,
@@ -16,6 +18,16 @@ from panemo.model import (
 )
 from panemo.textprep import random_embeddings
 from panemo.verify import build_downsized, gru_cell
+
+
+def packed(a, mask):
+    """A (T, B, d) sequence as the tensor of its packed rows."""
+    return Tensor(Packing(mask).pack(a))
+
+
+def unpacked(t, mask):
+    """The (T, B, d) sequence held by a tensor of packed rows."""
+    return Packing(mask).unpack(t.data)
 
 
 def zero_gru(d_in, hidden):
@@ -41,30 +53,33 @@ def random_gru(rng, d_in, hidden, scale=0.5):
 class TestEmbed:
     def test_pad_row_is_zero(self):
         emb = Tensor(random_embeddings(10, 4, seed=0).weights)
-        xs = embed(np.array([[0, 3]]), emb)
-        np.testing.assert_array_equal(xs.data[0], np.zeros((1, 4)))
+        mask = np.ones((1, 2))
+        xs = unpacked(embed(np.array([[0, 3]]), emb, mask), mask)
+        np.testing.assert_array_equal(xs[0], np.zeros((1, 4)))
 
     def test_equivalent_to_one_hot_matmul(self):
         emb = Tensor(random_embeddings(12, 5, seed=1).weights)
         rng = np.random.default_rng(2)
         idx = rng.integers(0, 12, size=(1, 20))
-        xs = embed(idx, emb)
+        mask = np.ones((1, 20))
+        xs = unpacked(embed(idx, emb, mask), mask)
         for t in range(20):
             one_hot = np.zeros((1, 12))
             one_hot[0, idx[0, t]] = 1.0
-            np.testing.assert_array_equal(xs.data[t], one_hot @ emb.data)
+            np.testing.assert_array_equal(xs[t], one_hot @ emb.data)
 
     def test_identical_sequences_identical_slices(self):
         emb = Tensor(random_embeddings(8, 3, seed=3).weights)
         idx = np.array([[2, 4, 6], [2, 4, 6]])
-        xs = embed(idx, emb)
-        for x in xs.data:
+        mask = np.ones((2, 3))
+        xs = unpacked(embed(idx, emb, mask), mask)
+        for x in xs:
             np.testing.assert_array_equal(x[0], x[1])
 
     def test_out_of_range_index(self):
         emb = Tensor(random_embeddings(5, 3, seed=0).weights)
         with pytest.raises(IndexError):
-            embed(np.array([[7]]), emb)
+            embed(np.array([[7]]), emb, np.ones((1, 1)))
 
 
 class TestGruCell:
@@ -112,32 +127,34 @@ class TestBigruLayer:
         rng = np.random.default_rng(8)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         x = Tensor(rng.uniform(-1, 1, (1, 3)))
-        out = bigru_layer(Tensor(x.data[None]), fwd, bwd, np.ones((1, 1)))
+        mask = np.ones((1, 1))
+        out = bigru_layer(packed(x.data[None], mask), fwd, bwd, mask)
         h0 = Tensor(np.zeros((1, 4)))
         expected = np.concatenate(
             [gru_cell(x, h0, fwd).data, gru_cell(x, h0, bwd).data], axis=1
         )
-        np.testing.assert_allclose(out.data[0], expected, atol=1e-15)
+        np.testing.assert_allclose(unpacked(out, mask)[0], expected, atol=1e-15)
 
     def test_masked_suffix_matches_short_sequence(self):
         rng = np.random.default_rng(9)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         xs_short = rng.uniform(-1, 1, (3, 1, 3))
         pad = np.zeros((2, 1, 3))
-        out_short = bigru_layer(Tensor(xs_short), fwd, bwd, np.ones((1, 3)))
-        out_padded = bigru_layer(
-            Tensor(np.concatenate([xs_short, pad])), fwd, bwd, np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
+        short, padded = np.ones((1, 3)), np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
+        out_short = unpacked(bigru_layer(packed(xs_short, short), fwd, bwd, short), short)
+        out_padded = unpacked(
+            bigru_layer(packed(np.concatenate([xs_short, pad]), padded), fwd, bwd, padded), padded
         )
         for t in range(3):
-            np.testing.assert_allclose(out_padded.data[t], out_short.data[t], atol=1e-12)
+            np.testing.assert_allclose(out_padded[t], out_short[t], atol=1e-12)
         for t in (3, 4):
-            np.testing.assert_array_equal(out_padded.data[t], np.zeros((1, 8)))
+            np.testing.assert_array_equal(out_padded[t], np.zeros((1, 8)))
 
     def test_zero_input_zero_params(self):
         fwd, bwd = zero_gru(3, 4), zero_gru(3, 4)
-        xs = Tensor(np.zeros((4, 2, 3)))
-        out = bigru_layer(xs, fwd, bwd, np.ones((2, 4)))
-        for o in out.data:
+        mask = np.ones((2, 4))
+        out = bigru_layer(packed(np.zeros((4, 2, 3)), mask), fwd, bwd, mask)
+        for o in unpacked(out, mask):
             np.testing.assert_array_equal(o, np.zeros((2, 8)))
 
 
@@ -163,15 +180,65 @@ class TestFusedOracle:
     def test_attention_matches_per_position_oracle(self, seed):
         assert verify.check_fused_attention(seed=seed) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, m in verify.PACKING_MASKS.items() if m.any(axis=1).all())
+    )
+    def test_attention_packing_layouts(self, name):
+        for seed in range(3):
+            assert verify.check_fused_attention(seed=seed, mask=verify.PACKING_MASKS[name]) <= 1e-12
+
+    def test_attention_random_ragged_masks(self):
+        rng = np.random.default_rng(19)
+        for seed in range(5):
+            mask = verify.random_ragged_mask(rng, int(rng.integers(1, 10)), int(rng.integers(1, 8)))
+            assert verify.check_fused_attention(seed=seed, mask=mask) <= 1e-12
+
+    def test_attention_row_without_valid_position_raises(self):
+        mask = verify.PACKING_MASKS["empty rows"]
+        u = packed(np.ones((mask.shape[1], mask.shape[0], 2)), mask)
+        p = AttentionParams(w_a=Tensor(np.ones((2, 1))), b=Tensor(np.zeros(1)))
+        with pytest.raises(EmptySequenceError):
+            attention_pool([u], p, mask)
+
     def test_frozen_input_gets_no_gradient(self):
         rng = np.random.default_rng(16)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
-        x = Tensor(rng.uniform(-1, 1, (3, 2, 3)))
+        mask = np.ones((2, 3))
+        x = packed(rng.uniform(-1, 1, (3, 2, 3)), mask)
         with ad.Tape() as tape:
-            loss = ad.tensor_sum(bigru_layer(x, fwd, bwd, np.ones((2, 3))))
+            loss = ad.tensor_sum(bigru_layer(x, fwd, bwd, mask))
         ad.backward(loss, tape)
         assert x.grad is None
         assert np.abs(fwd.W_ir.grad).max() > 0.0
+
+
+class TestPacking:
+    def test_identity_when_every_row_ends_at_t(self):
+        mask = np.ones((3, 4))
+        mask[1, 2] = 0.0  # a gap does not move the row's end
+        pack = Packing(mask)
+        assert not pack.packed and pack.N == 12 and pack.runs == [(0, 12, 4, 3)]
+        seq = np.arange(24.0).reshape(4, 3, 2)
+        assert np.shares_memory(pack.pack(seq), seq)  # a reshape, not a gather
+        np.testing.assert_array_equal(pack.unpack(pack.pack(seq)), seq)
+
+    @pytest.mark.parametrize("name", sorted(verify.PACKING_MASKS))
+    def test_round_trips(self, name):
+        mask = verify.PACKING_MASKS[name]
+        B, T = mask.shape
+        ends = np.where(mask.any(axis=1), T - np.argmax(mask[:, ::-1] > 0, axis=1), 0)
+        scanned = np.arange(T)[:, None] < ends  # (T, B)
+        pack = Packing(mask)
+        assert pack.N == ends.sum() and pack.S == ends.max()
+        seq = np.random.default_rng(0).uniform(-1, 1, (T, B, 3))
+        np.testing.assert_array_equal(pack.unpack(pack.pack(seq)), seq * scanned[..., None])
+        per_row = np.random.default_rng(1).uniform(-1, 1, (B, 3))
+        np.testing.assert_array_equal(pack.scale(pack.pack(seq), per_row), pack.pack(seq * per_row))
+        values = np.arange(1.0, pack.N + 1)
+        np.testing.assert_array_equal(pack.from_grid(pack.to_grid(values)), values)
+        assert pack.grid_mask.sum() == mask.sum()
+        assert [r[0] for r in pack.runs] == [0] + [r[1] for r in pack.runs[:-1]]
+        assert sum(steps * kk for _, _, steps, kk in pack.runs) == pack.N
 
 
 class TestAttentionPool:
@@ -183,44 +250,49 @@ class TestAttentionPool:
 
     def test_single_position(self):
         rng = np.random.default_rng(10)
-        u = Tensor(rng.uniform(-1, 1, (1, 1, 5)))
-        v, a = attention_pool([u], self.make_params(rng, 5), np.ones((1, 1)))
-        np.testing.assert_allclose(v.data, u.data[0], atol=1e-15)
+        u = rng.uniform(-1, 1, (1, 1, 5))
+        mask = np.ones((1, 1))
+        v, a = attention_pool([packed(u, mask)], self.make_params(rng, 5), mask)
+        np.testing.assert_allclose(v.data, u[0], atol=1e-15)
         np.testing.assert_allclose(a, [[1.0]])
 
     def test_identical_rows(self):
         rng = np.random.default_rng(11)
         row = rng.uniform(-1, 1, (1, 4))
-        us = Tensor(np.stack([row] * 5))
-        v, _ = attention_pool([us], self.make_params(rng, 4), np.ones((1, 5)))
+        mask = np.ones((1, 5))
+        us = packed(np.stack([row] * 5), mask)
+        v, _ = attention_pool([us], self.make_params(rng, 4), mask)
         np.testing.assert_allclose(v.data, row, atol=1e-12)
 
     def test_hand_set_scores(self):
         # scores ln2 and 0 -> weights 2/3, 1/3
         u1, u2 = np.array([[1.0, 0.0]]), np.array([[0.0, 3.0]])
         p = AttentionParams(w_a=Tensor(np.zeros((2, 1))), b=Tensor(np.zeros(1)))
-        us = Tensor(np.stack([u1, u2]))
+        mask = np.ones((1, 2))
+        us = packed(np.stack([u1, u2]), mask)
         # score u1 via w_a so that e1 = ln2, e2 = 0
         p.w_a.data[0, 0] = np.log(2.0)
-        v, a = attention_pool([us], p, np.ones((1, 2)))
+        v, a = attention_pool([us], p, mask)
         np.testing.assert_allclose(a, [[2 / 3, 1 / 3]], atol=1e-15)
         np.testing.assert_allclose(v.data, (2 / 3) * u1 + (1 / 3) * u2, atol=1e-15)
 
     def test_bias_shift_invariance(self):
         rng = np.random.default_rng(12)
-        us = Tensor(rng.uniform(-1, 1, (4, 1, 4)))
+        mask = np.ones((1, 4))
+        us = packed(rng.uniform(-1, 1, (4, 1, 4)), mask)
         p = self.make_params(rng, 4)
-        v1, a1 = attention_pool([us], p, np.ones((1, 4)))
+        v1, a1 = attention_pool([us], p, mask)
         p.b.data[...] += 17.0
-        v2, a2 = attention_pool([us], p, np.ones((1, 4)))
+        v2, a2 = attention_pool([us], p, mask)
         np.testing.assert_allclose(a1, a2, atol=1e-12)
         np.testing.assert_allclose(v1.data, v2.data, atol=1e-12)
 
     def test_convex_hull(self):
         rng = np.random.default_rng(13)
-        us = Tensor(rng.uniform(-2, 2, (6, 1, 3)))
-        v, _ = attention_pool([us], self.make_params(rng, 3), np.ones((1, 6)))
-        stacked = us.data[:, 0]
+        mask = np.ones((1, 6))
+        us = packed(rng.uniform(-2, 2, (6, 1, 3)), mask)
+        v, _ = attention_pool([us], self.make_params(rng, 3), mask)
+        stacked = us.data
         assert np.all(v.data[0] >= stacked.min(axis=0) - 1e-12)
         assert np.all(v.data[0] <= stacked.max(axis=0) + 1e-12)
 
@@ -275,6 +347,11 @@ class TestForward:
         np.testing.assert_allclose(y_p.data, y.data[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(a1_p, a1[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(a2_p, a2[perm], rtol=0, atol=1e-12)
+
+    def test_batch_without_valid_position_raises(self):
+        params = build_downsized(seed=0)
+        with pytest.raises(EmptySequenceError):
+            forward(np.zeros((2, 4), dtype=np.int64), np.zeros((2, 4)), params)
 
     def test_eval_deterministic(self):
         params = build_downsized(seed=0)

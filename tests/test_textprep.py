@@ -191,3 +191,35 @@ class TestLoadEmbeddings:
         path.write_text(f"cat 1.0 2.0\nowl {bad} 0.0\ndog 0.5 {bad}\n")
         with pytest.raises(ParseError, match="line 3"):
             tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+
+    def test_last_occurrence_wins(self, tmp_path):
+        vocab = tp.build_vocabulary([["cat", "dog"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1.0 2.0\ndog nan 0.0\ncat 3.0 4.0\ndog 5.0 6.0\n")
+        emb = tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+        np.testing.assert_array_equal(emb.weights[vocab.index("cat")], [3.0, 4.0])
+        np.testing.assert_array_equal(emb.weights[vocab.index("dog")], [5.0, 6.0])
+        assert emb.coverage == 1.0
+
+    def test_wrong_arity_of_word_not_in_vocabulary(self, tmp_path):
+        vocab = tp.build_vocabulary([["cat"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1.0 2.0\nowl 1.0\n")
+        with pytest.raises(ParseError, match="line 2 has 1 values, expected 2"):
+            tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+
+    def test_non_numeric_line_reported_before_later_wrong_arity(self, tmp_path):
+        vocab = tp.build_vocabulary([["cat"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1.0 x\nowl 1.0\n")
+        with pytest.raises(ParseError, match="line 1 has a non-numeric value"):
+            tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+
+    @pytest.mark.parametrize("text, value", [("1_0", 10.0), ("١", 1.0), ("+1e2", 100.0)])
+    def test_values_read_as_float_reads_them(self, tmp_path, text, value):
+        vocab = tp.build_vocabulary([["cat", "dog"]])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"cat {text} 2.0\ndog 0.5 0.25\n", encoding="utf-8")
+        emb = tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+        np.testing.assert_array_equal(emb.weights[vocab.index("cat")], [value, 2.0])
+        np.testing.assert_array_equal(emb.weights[vocab.index("dog")], [0.5, 0.25])
