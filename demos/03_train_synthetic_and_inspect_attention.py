@@ -15,8 +15,7 @@ dataset, params, config = overfit_harness(seed=1)
 params, log = train(dataset, dataset, config, params)
 print(f"trained {len(log.epochs)} epochs, final train loss {log.epochs[-1].train_loss:.4f}")
 
-idx = np.array([ex.indices for ex in dataset.examples], dtype=np.int64)
-msk = np.array([ex.mask for ex in dataset.examples], dtype=np.float64)
+idx, msk, _ = dataset.arrays()
 pred = threshold(predict_scores(idx, msk, params), config.threshold)
 gold = dataset.label_matrix()
 print(f"training-set Jaccard accuracy: {jaccard_accuracy(pred, gold):.3f}\n")

@@ -90,6 +90,10 @@ def cmd_train(args) -> int:
         if value < 1:
             raise ConfigError(f"{key}={value} must be >= 1")
     max_len, min_count, d_emb, hidden = sizes.values()
+    # written only after training, so a missing directory is caught now
+    for key in ("log_path", "checkpoint_path"):
+        if not Path(run[key]).parent.is_dir():
+            raise ConfigError(f"{key}={run[key]}: directory {Path(run[key]).parent} does not exist")
 
     raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
     raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))
@@ -136,8 +140,7 @@ def cmd_evaluate(args) -> int:
     params, vocab, max_len, tau, config, _ = _load_for_inference(args.checkpoint)
     raw = textprep.load_semeval_tsv(_require_file(args.data, "data TSV"))
     dataset = textprep.encode_dataset(raw, vocab, max_len)
-    idx = np.array([ex.indices for ex in dataset.examples], dtype=np.int64)
-    msk = np.array([ex.mask for ex in dataset.examples], dtype=np.float64)
+    idx, msk, _ = dataset.arrays()
     scores = predict_scores(idx, msk, params)
     pred = metrics.threshold(scores, tau)
     gold = dataset.label_matrix()

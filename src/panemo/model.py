@@ -166,6 +166,12 @@ def spatial_dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarra
     return dropout_mask(shape, p, rng)
 
 
+def row_ends(mask: np.ndarray) -> np.ndarray:
+    """Each row's end in a (B, T) 0/1 mask: its last valid position + 1, or 0."""
+    valid = np.asarray(mask) > 0
+    return np.where(valid.any(axis=1), valid.shape[1] - valid[:, ::-1].argmax(axis=1), 0)
+
+
 class Packing:
     """Step-major layout of the scanned positions of a (B, T) 0/1 mask.
 
@@ -185,7 +191,7 @@ class Packing:
     def __init__(self, mask: np.ndarray):
         valid = np.asarray(mask).T > 0  # (T, B)
         T, B = valid.shape
-        ends = np.where(valid.any(axis=0), T - valid[::-1].argmax(axis=0), 0)
+        ends = row_ends(mask)
         order = np.argsort(-ends, kind="stable")
         k = np.count_nonzero(ends[order] > np.arange(ends.max(initial=0))[:, None], axis=1)
         off = np.concatenate([[0], np.cumsum(k)])
@@ -573,12 +579,29 @@ def forward(
     return yhat, np.pad(a1, pad), np.pad(a2, pad)
 
 
-def predict_scores(dataset_indices, dataset_mask, params, batch_size: int = 64):
-    """Eval-mode scores over a whole dataset, batched."""
+def predict_scores(dataset_indices, dataset_mask, params, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode (n, n_labels) scores over a whole dataset, in its row order.
+
+    Rows are batched by length: ranked by end (stable, longest first), that
+    order is cut into ceil(n / batch_size) batches of about equal scanned
+    positions, so each batch scans only as far as its own longest row and
+    holds at most max(end) + total / n_batches positions. The scores are
+    scattered back to input order. When every row has the same end and n is
+    a multiple of batch_size, the batches are the file-order blocks of
+    batch_size rows.
+    """
     n = dataset_indices.shape[0]
     out = np.zeros((n, params.config.n_labels))
-    for start in range(0, n, batch_size):
-        end = min(start + batch_size, n)
-        yhat, _, _ = forward(dataset_indices[start:end], dataset_mask[start:end], params)
-        out[start:end] = yhat.data
+    if n == 0:
+        return out
+    ends = row_ends(dataset_mask)
+    order = np.argsort(-ends, kind="stable")
+    n_batches = -(-n // batch_size)
+    cum = np.cumsum(ends[order])
+    # a batch ends at the first row whose cumulative end reaches its share
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n_batches) / n_batches) + 1
+    for rows in np.split(order, cuts):
+        if rows.size:  # a row longer than a whole share leaves the next batch empty
+            yhat, _, _ = forward(dataset_indices[rows], dataset_mask[rows], params)
+            out[rows] = yhat.data
     return out

@@ -143,6 +143,13 @@ class Dataset:
     def label_matrix(self) -> np.ndarray:
         return np.array([ex.labels for ex in self.examples], dtype=np.int64)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, mask, labels) as (n, T) int64, (n, T) and (n, m) float64 arrays."""
+        idx = np.array([ex.indices for ex in self.examples], dtype=np.int64)
+        msk = np.array([ex.mask for ex in self.examples], dtype=np.float64)
+        lab = np.array([ex.labels for ex in self.examples], dtype=np.float64)
+        return idx, msk, lab
+
 
 @dataclass
 class RawDataset:
@@ -163,7 +170,7 @@ def load_semeval_tsv(path) -> RawDataset:
     The header must name the emotions in canonical order; labels are the
     literal strings "0"/"1"; the tweet must hold at least one token (it has
     no positions to attend over otherwise). Raises ParseError with the
-    offending row number.
+    offending row number, or naming the file when it has no data rows.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -200,6 +207,8 @@ def load_semeval_tsv(path) -> RawDataset:
         ids.append(cols[0])
         token_lists.append(tokens)
         labels.append(row_labels)
+    if not ids:
+        raise ParseError(f"{path}: no data rows after the header")
     return RawDataset(ids=ids, token_lists=token_lists, labels=labels)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -11,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .model import ModelParams, dropout_mask, forward
+from .model import ModelParams, forward, predict_scores
 from .textprep import Dataset
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
@@ -24,6 +25,24 @@ STREAM_NOISE = 3
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+# The allowed values of each TrainingConfig field; a float must also be finite.
+_FIELD_RANGES = {
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "lr_init": (lambda v: v >= 0, ">= 0"),
+    "lr_floor": (lambda v: v >= 0, ">= 0"),
+    "lr_halve_patience": (lambda v: v >= 1, ">= 1"),
+    "pos_weight": (lambda v: v > 0, "> 0"),
+    "dropout_dense": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "spatial_dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "weight_noise_std": (lambda v: v >= 0, ">= 0"),
+    "l2_coeff": (lambda v: v >= 0, ">= 0"),
+    "early_stop_patience": (lambda v: v >= 1, ">= 1"),
+    "max_epochs": (lambda v: v >= 1, ">= 1"),
+    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+}
 
 
 @dataclass
@@ -43,14 +62,13 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("dropout_dense", "spatial_dropout"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"{key}={getattr(self, key)} outside [0, 1)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed, words = _FIELD_RANGES[f.name]
+            if (isinstance(value, float) and not math.isfinite(value)) or not allowed(value):
+                raise ConfigError(f"{f.name}={value} must be finite and {words}")
         if self.lr_floor > self.lr_init:
             raise ConfigError(f"lr_floor={self.lr_floor} exceeds lr_init={self.lr_init}")
-        for key in ("lr_halve_patience", "early_stop_patience"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key}={getattr(self, key)} must be >= 1")
 
 
 def weighted_bce(yhat: Tensor, y: np.ndarray, w: float) -> Tensor:
@@ -86,20 +104,6 @@ def l2_penalty(params: ModelParams, coeff: float) -> Tensor:
         return Tensor(0.0)
     terms = [ad.square_sum(w) for w in params.weight_matrices()]
     return ad.scale(ad.add_scalars(terms), coeff)
-
-
-def apply_dropout(x: Tensor, p: float, mode: str, rng, variant: str = "standard") -> Tensor:
-    """Standalone dropout op. Eval mode and p == 0 are identity."""
-    if mode == "eval" or p == 0.0:
-        return x
-    if variant == "standard":
-        m = dropout_mask(x.data.shape, p, rng)
-    elif variant == "spatial":
-        # x is (T, d) for a single example: share the mask across positions
-        m = np.broadcast_to(dropout_mask((1, x.data.shape[-1]), p, rng), x.data.shape)
-    else:
-        raise ValueError(f"unknown dropout variant {variant!r}")
-    return ad.mul_const(x, m)
 
 
 _NOISY_WEIGHTS = ("W_hr", "W_hz", "W_hn")
@@ -206,13 +210,6 @@ def early_stop_check(log: TrainingLog, patience: int) -> bool:
     return log.epochs[-1].epoch - log.best_epoch >= patience
 
 
-def _batch_arrays(dataset: Dataset):
-    idx = np.array([ex.indices for ex in dataset.examples], dtype=np.int64)
-    msk = np.array([ex.mask for ex in dataset.examples], dtype=np.float64)
-    lab = np.array([ex.labels for ex in dataset.examples], dtype=np.float64)
-    return idx, msk, lab
-
-
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
     """Copies of the trainable tensors; the frozen embedding never changes."""
     return {name: t.data.copy() for name, t in params.trainable_parameters()}
@@ -225,15 +222,9 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
 
 def evaluate_loss(dataset: Dataset, params: ModelParams, config: TrainingConfig) -> float:
     """Eval-mode weighted BCE over a dataset (no L2, no regularizer noise)."""
-    idx, msk, lab = _batch_arrays(dataset)
-    total = 0.0
-    n = len(dataset)
-    for start in range(0, n, config.batch_size):
-        end = min(start + config.batch_size, n)
-        yhat, _, _ = forward(idx[start:end], msk[start:end], params)
-        loss = weighted_bce(yhat, lab[start:end], config.pos_weight)
-        total += float(loss.data) * (end - start)
-    return total / n
+    idx, msk, lab = dataset.arrays()
+    yhat = predict_scores(idx, msk, params, config.batch_size)
+    return float(weighted_bce(Tensor(yhat), lab, config.pos_weight).data)
 
 
 def train(
@@ -251,7 +242,7 @@ def train(
     if len(train_set) == 0 or len(dev_set) == 0:
         raise ValueError("train and dev sets must be non-empty")
 
-    idx, msk, lab = _batch_arrays(train_set)
+    idx, msk, lab = train_set.arrays()
     n = len(train_set)
     embedding_before = params.embedding.data.copy()
 

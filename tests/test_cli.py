@@ -129,6 +129,17 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("seed=abc\n", "", "seed"),
         ("dropout_dense=1.5\n", "", "dropout_dense"),
         ("", EMPTY_TWEET_ROW, "row 8 has an empty tweet"),
+        ("batch_size=0\n", "", "batch_size=0"),
+        ("seed=-1\n", "", "seed=-1"),
+        ("l2_coeff=-1\n", "", "l2_coeff=-1"),
+        ("weight_noise_std=-1\n", "", "weight_noise_std=-1"),
+        ("lr_init=nan\n", "", "lr_init=nan"),
+        ("lr_init=inf\n", "", "lr_init=inf"),
+        ("pos_weight=-3\n", "", "pos_weight=-3"),
+        ("threshold=7\n", "", "threshold=7"),
+        ("max_epochs=0\n", "", "max_epochs=0"),
+        ("log_path=/nonexistent/panemo/log.tsv\n", "", "log_path"),
+        ("checkpoint_path=/nonexistent/panemo/best.ckpt\n", "", "checkpoint_path"),
     ],
 )
 def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
@@ -139,6 +150,20 @@ def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, messag
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_header_only_tsv_is_user_error(workspace, capsys):
+    header_only = workspace / "header.tsv"
+    header_only.write_text("ID\tTweet\t" + "\t".join(EMOTIONS) + "\n")
+    with open(workspace / "run.cfg", "a") as fh:
+        fh.write(f"train_path={header_only}\n")
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: {header_only}: no data rows after the header\n"
+
+    path = workspace / "model.ckpt"
+    save_checkpoint(build_downsized(seed=0), Vocabulary([f"tok{i}" for i in range(18)]), TrainingConfig(), 0.5, path)
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(header_only)]) == 1
+    assert capsys.readouterr().err == f"error: {header_only}: no data rows after the header\n"
 
 
 def test_unknown_config_key(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from panemo import autodiff as ad
 from panemo.autodiff import Tensor
-from panemo import verify
+from panemo import model, verify
 from panemo.errors import EmptySequenceError
 from panemo.model import (
     AttentionParams,
@@ -15,6 +15,8 @@ from panemo.model import (
     embed,
     forward,
     init_params,
+    predict_scores,
+    row_ends,
 )
 from panemo.textprep import random_embeddings
 from panemo.verify import build_downsized, gru_cell
@@ -383,6 +385,98 @@ class TestForward:
         for (n1, t1), (n2, t2) in zip(a.named_parameters(), b.named_parameters()):
             assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes()
+
+
+def ragged_rows(rng, n, T, lengths=None):
+    """(indices, mask) of n rows with the given or random lengths in [1, T], PAD after."""
+    lengths = rng.integers(1, T + 1, size=n) if lengths is None else np.asarray(lengths)
+    msk = (np.arange(T) < lengths[:, None]).astype(np.float64)
+    return rng.integers(2, 20, size=(n, T)) * msk.astype(np.int64), msk
+
+
+def file_order_scores(idx, msk, params, batch_size=64):
+    """Oracle: eval scores of consecutive blocks of batch_size rows in file order."""
+    blocks = [
+        forward(idx[i : i + batch_size], msk[i : i + batch_size], params)[0].data
+        for i in range(0, len(idx), batch_size)
+    ]
+    return np.concatenate(blocks)
+
+
+def recorded_batches(monkeypatch):
+    """The (indices, mask) of every forward call that predict_scores makes."""
+    calls = []
+
+    def recording_forward(indices, mask, params, *args, **kwargs):
+        calls.append((indices, mask))
+        return forward(indices, mask, params, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    return calls
+
+
+class TestPredictScores:
+    def test_matches_file_order_batches(self):
+        params = build_downsized(seed=0)
+        idx, msk = ragged_rows(np.random.default_rng(30), 150, 12)
+        got = predict_scores(idx, msk, params)
+        assert np.abs(got - file_order_scores(idx, msk, params)).max() <= 1e-12
+
+    def test_permutation_equivariant(self):
+        params = build_downsized(seed=1)
+        rng = np.random.default_rng(31)
+        idx, msk = ragged_rows(rng, 130, 9)
+        perm = rng.permutation(130)
+        got = predict_scores(idx[perm], msk[perm], params)
+        assert np.abs(got - predict_scores(idx, msk, params)[perm]).max() <= 1e-12
+
+    def test_equal_lengths_keep_file_order_blocks(self, monkeypatch):
+        params = build_downsized(seed=2)
+        idx, msk = ragged_rows(np.random.default_rng(32), 192, 8, lengths=[6] * 192)
+        calls = recorded_batches(monkeypatch)
+        got = predict_scores(idx, msk, params)
+        assert len(calls) == 3
+        for i, (b_idx, b_msk) in enumerate(calls):
+            assert np.array_equal(b_idx, idx[64 * i : 64 * (i + 1)])
+            assert np.array_equal(b_msk, msk[64 * i : 64 * (i + 1)])
+        assert got.tobytes() == file_order_scores(idx, msk, params).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, T, lengths",
+        [
+            (150, 12, None),  # random lengths in [1, 12]
+            (256, 50, "semeval"),  # mostly short, a few long
+            (65, 60, [60] * 2 + [1] * 63),  # two rows near a batch's share
+            (129, 500, [500] + [1] * 128),  # one row longer than two shares
+            (64, 12, None),
+        ],
+    )
+    def test_batches_balance_scanned_positions(self, monkeypatch, n, T, lengths):
+        params = build_downsized(seed=3)
+        rng = np.random.default_rng(33)
+        if lengths == "semeval":
+            lengths = np.minimum(rng.geometric(0.06, size=n), T)
+        idx, msk = ragged_rows(rng, n, T, lengths)
+        calls = recorded_batches(monkeypatch)
+        got = predict_scores(idx, msk, params)
+        ends = row_ends(msk)
+        n_batches = -(-n // 64)
+        bound = ends.max() + -(-ends.sum() // n_batches)
+        assert 1 <= len(calls) <= n_batches
+        assert all(len(b_idx) for b_idx, _ in calls)  # no empty batch
+        assert sorted(np.concatenate([b_idx for b_idx, _ in calls]).tolist()) == sorted(idx.tolist())
+        for _, b_msk in calls:
+            assert row_ends(b_msk).sum() <= bound
+        assert np.abs(got - file_order_scores(idx, msk, params)).max() <= 1e-12
+
+    def test_empty_input(self):
+        params = build_downsized(seed=0)
+        out = predict_scores(np.zeros((0, 5), dtype=np.int64), np.zeros((0, 5)), params)
+        assert out.shape == (0, 11)
+
+    def test_row_ends(self):
+        msk = np.array([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
+        assert row_ends(msk).tolist() == [2, 4, 0, 4]
 
 
 def test_full_model_gradients_vs_finite_differences_small():

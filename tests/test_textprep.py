@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -72,8 +73,9 @@ class TestLoadTsv:
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "d.tsv"
-        path.write_text(HEADER + "\n")
-        assert len(tp.load_semeval_tsv(path)) == 0
+        path.write_text(HEADER + "\n\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: no data rows")):
+            tp.load_semeval_tsv(path)
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -145,6 +147,20 @@ class TestEncode:
     def test_deterministic(self):
         vocab = tp.build_vocabulary([["a", "b"]])
         assert tp.encode(["a", "b"], vocab, 5) == tp.encode(["a", "b"], vocab, 5)
+
+    def test_dataset_arrays(self):
+        raw = tp.RawDataset(
+            ids=["a", "b", "c"],
+            token_lists=[["x", "y"], ["y"], ["z", "x", "y", "w"]],
+            labels=[[1] + [0] * 10, [0] * 10 + [1], [1, 1] + [0] * 9],
+        )
+        dataset = tp.encode_dataset(raw, tp.build_vocabulary(raw.token_lists), max_len=3)
+        idx, msk, lab = dataset.arrays()
+        assert idx.dtype == np.int64 and msk.dtype == lab.dtype == np.float64
+        assert idx.tolist() == [ex.indices for ex in dataset.examples]
+        assert msk.tolist() == [[1, 1, 0], [1, 0, 0], [1, 1, 1]]
+        assert np.array_equal(lab.astype(np.int64), dataset.label_matrix())
+        assert np.array_equal(lab, dataset.label_matrix())
 
 
 class TestLoadEmbeddings:

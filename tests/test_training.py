@@ -4,7 +4,7 @@ import pytest
 from panemo import autodiff as ad
 from panemo.autodiff import Tape, Tensor, backward
 from panemo.errors import ShapeError
-from panemo.model import forward
+from panemo.model import Packing, dropout_mask, forward, spatial_dropout_mask
 from panemo.training import (
     AdamState,
     EpochRecord,
@@ -12,8 +12,6 @@ from panemo.training import (
     TrainingConfig,
     TrainingLog,
     adam_step,
-    apply_dropout,
-    dropout_mask,
     early_stop_check,
     evaluate_loss,
     l2_penalty,
@@ -22,6 +20,7 @@ from panemo.training import (
     train,
     weighted_bce,
 )
+from panemo.textprep import Dataset, Example
 from panemo.verify import (
     build_downsized,
     make_synthetic_dataset,
@@ -104,33 +103,41 @@ class TestL2Penalty:
 
 class TestDropout:
     def test_p_zero_identity(self):
-        x = Tensor(np.ones((3, 4)))
+        x = np.arange(12.0).reshape(3, 4)
         rng = np.random.default_rng(0)
-        assert apply_dropout(x, 0.0, "train", rng) is x
-        assert apply_dropout(x, 0.0, "eval", rng) is x
+        assert np.array_equal(x * dropout_mask(x.shape, 0.0, rng), x)
+        assert np.array_equal(x * spatial_dropout_mask(x.shape, 0.0, rng), x)
 
     def test_eval_identity(self):
-        x = Tensor(np.ones((3, 4)))
-        assert apply_dropout(x, 0.9, "eval", None) is x
+        params = build_downsized(seed=0)
+        idx = np.array([[2, 7, 11, 3, 0], [5, 4, 0, 0, 0]])
+        msk = (idx > 0).astype(np.float64)
+        plain, _, _ = forward(idx, msk, params, mode="eval")
+        rates, _, _ = forward(idx, msk, params, mode="eval", dropout_dense=0.9, spatial_dropout=0.9)
+        assert np.array_equal(rates.data, plain.data)
 
     def test_inverted_scaling(self):
         rng = np.random.default_rng(1)
-        x = Tensor(np.ones((100, 100)))
-        out = apply_dropout(x, 0.2, "train", rng).data
+        x = np.ones((100, 100))
+        out = x * dropout_mask(x.shape, 0.2, rng)
         survivors = out[out != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.8)
 
     def test_spatial_drops_whole_channels(self):
         rng = np.random.default_rng(2)
-        x = Tensor(np.ones((50, 30)))  # (T, d) single example
-        out = apply_dropout(x, 0.4, "train", rng, variant="spatial").data
-        for c in range(30):
-            col = out[:, c]
-            assert np.all(col == 0.0) or np.all(col == 1.0 / 0.6)
+        mask = np.ones((4, 50))
+        mask[1, 20:] = 0.0
+        pack = Packing(mask)
+        rows = np.ones((pack.N, 30))  # packed (positions, d) rows of four examples
+        out = pack.unpack(pack.scale(rows, spatial_dropout_mask((4, 30), 0.4, rng)))
+        for b, length in enumerate([50, 20, 50, 50]):
+            for c in range(30):
+                col = out[:length, b, c]
+                assert np.all(col == 0.0) or np.all(col == 1.0 / 0.6)
 
     def test_spatial_drop_fraction_monte_carlo(self):
         rng = np.random.default_rng(3)
-        mask = dropout_mask((100000,), 0.4, rng)
+        mask = spatial_dropout_mask((100000,), 0.4, rng)
         frac = float((mask == 0).mean())
         assert abs(frac - 0.4) < 0.01
 
@@ -320,6 +327,33 @@ class TestTrain:
         config = TrainingConfig(seed=0)
         with pytest.raises(ValueError):
             train(Dataset(), make_synthetic_dataset(4), config, build_downsized(seed=0))
+
+
+def per_batch_loss(dataset, params, config):
+    """Oracle: the mean of per-batch weighted losses over file-order batches."""
+    idx, msk, lab = dataset.arrays()
+    n, total = len(dataset), 0.0
+    for start in range(0, n, config.batch_size):
+        end = min(start + config.batch_size, n)
+        yhat, _, _ = forward(idx[start:end], msk[start:end], params)
+        total += float(weighted_bce(yhat, lab[start:end], config.pos_weight).data) * (end - start)
+    return total / n
+
+
+@pytest.mark.parametrize("n, batch_size", [(150, 64), (37, 8), (5, 64)])
+def test_evaluate_loss_matches_per_batch_loop(n, batch_size):
+    rng = np.random.default_rng(n)
+    examples = []
+    for i in range(n):
+        length = int(rng.integers(1, 10))
+        tokens = rng.integers(2, 20, size=length).tolist()
+        labels = rng.integers(0, 2, size=11).tolist()
+        examples.append(Example(tokens + [0] * (9 - length), [1] * length + [0] * (9 - length), labels))
+    dataset = Dataset(examples)
+    params = build_downsized(seed=8)
+    config = TrainingConfig(batch_size=batch_size, pos_weight=3.0)
+    want = per_batch_loss(dataset, params, config)
+    assert abs(evaluate_loss(dataset, params, config) - want) <= 1e-12 * want
 
 
 def test_train_eval_asymmetry_vanishes_without_regularizers():
