@@ -11,14 +11,20 @@ from panemo.autodiff import Tape, Tensor, backward
 
 rng = np.random.default_rng(0)
 
-# a small two-layer expression: sum(sigmoid(tanh(A @ B + b) * c))
+# a small two-layer expression: 0.5 * sum(sigmoid(sigmoid(A @ B + b) @ C)^2)
 A = Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
 B = Tensor(rng.uniform(-1, 1, (4, 2)), trainable=True)
 b = Tensor(rng.uniform(-1, 1, 2), trainable=True)
+C = Tensor(rng.uniform(-1, 1, (2, 2)), trainable=True)
+
+
+def f():
+    hidden = ad.sigmoid(ad.add(ad.matmul(A, B), b))
+    return ad.scale(ad.square_sum(ad.sigmoid(ad.matmul(hidden, C))), 0.5)
+
 
 with Tape() as tape:
-    hidden = ad.tanh(ad.add(ad.matmul(A, B), b))
-    loss = ad.tensor_sum(ad.sigmoid(hidden))
+    loss = f()
 
 print(f"loss = {float(loss.data):.6f}, tape recorded {len(tape)} ops")
 backward(loss, tape)
@@ -31,13 +37,7 @@ except Exception as exc:
     print(f"second backward rejected: {type(exc).__name__}")
 
 # finite-difference verification of the whole expression
-for p in (A, B, b):
+for p in (A, B, b, C):
     p.zero_grad()
-
-
-def f():
-    return ad.tensor_sum(ad.sigmoid(ad.tanh(ad.add(ad.matmul(A, B), b))))
-
-
-err = ad.grad_check(f, [A, B, b], eps=1e-5)
+err = ad.grad_check(f, [A, B, b, C], eps=1e-5)
 print(f"max relative error vs finite differences: {err:.2e}")

@@ -5,10 +5,11 @@ a context manager), every differentiable op appends a backward rule to it;
 ``backward(loss, tape)`` replays the rules in reverse to populate ``grad``
 buffers. A tape is consumed by ``backward`` and cannot be replayed.
 
-Only the shapes the model actually needs are supported: 2-D matrices,
-1-D bias vectors broadcast over rows, and (B, 1) column factors broadcast
-over feature columns. Ops that act on whole (T, B, d) sequences, such as
-the fused GRU layer, live with the model and record through ``record``.
+The op set is the model's: 2-D matrices, 1-D bias vectors broadcast over
+rows, constant factors and offsets, the sigmoid head, feature concatenation
+and the scalar loss terms. Ops that act on whole sequences, such as the
+fused GRU layer, live with the model and record through ``record``; ops
+that only the per-step reference oracles use live in ``verify``.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _pop_tape(self)
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tape context exited out of order")
+        _TAPE_STACK.pop()
         return False
 
     def __len__(self):
@@ -81,16 +84,6 @@ class Tape:
 # Active tape stack. Ops record onto the innermost active tape; with no
 # active tape they run forward-only (eval mode).
 _TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(tape: Tape):
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: Tape):
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise RuntimeError("tape context exited out of order")
-    _TAPE_STACK.pop()
 
 
 def current_tape() -> Tape | None:
@@ -183,50 +176,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
-    out = Tensor(a.data - b.data)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(a, g)
-        accumulate_grad(b, -g)
-
-    record(bwd, out)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; ``b`` may be a (B, 1) column broadcast over features."""
-    if a.data.shape == b.data.shape:
-        col = False
-    elif (
-        a.data.ndim == 2
-        and b.data.ndim == 2
-        and b.data.shape == (a.data.shape[0], 1)
-    ):
-        col = True
-    else:
-        raise ShapeError(f"mul shape mismatch: {a.data.shape} * {b.data.shape}")
-    out = Tensor(a.data * b.data)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(a, g * b.data)
-        if col:
-            accumulate_grad(b, (g * a.data).sum(axis=1, keepdims=True))
-        else:
-            accumulate_grad(b, g * a.data)
-
-    record(bwd, out)
-    return out
-
-
 def mul_const(a: Tensor, c) -> Tensor:
     """Multiply by a constant array or scalar (no gradient into the constant)."""
     c = np.asarray(c, dtype=np.float64)
@@ -267,35 +216,19 @@ def add_const(a: Tensor, c) -> Tensor:
     return out
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise sigmoid or tanh."""
-    if kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-x.data))
-    elif kind == "tanh":
-        y = np.tanh(x.data)
-    else:
-        raise ValueError(f"unknown activation kind: {kind!r}")
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function."""
+    y = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(y)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        if kind == "sigmoid":
-            accumulate_grad(x, g * y * (1.0 - y))
-        else:
-            accumulate_grad(x, g * (1.0 - y * y))
+        accumulate_grad(x, g * y * (1.0 - y))
 
     record(bwd, out)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return activation(x, "sigmoid")
-
-
-def tanh(x: Tensor) -> Tensor:
-    return activation(x, "tanh")
 
 
 def concat_features(parts: Sequence[Tensor]) -> Tensor:
@@ -327,8 +260,10 @@ def concat_features(parts: Sequence[Tensor]) -> Tensor:
 
 def softmax_rows(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (B, T) scores over the positions where the 0/1
-    mask is set, exactly zero elsewhere; the forward values of
-    ``masked_softmax``. Its gradient rule is ds = a * (g - sum(a * g)).
+    mask is set, exactly zero elsewhere. The max valid score of each row is
+    subtracted before exponentiating. Its gradient rule is
+    ds = a * (g - sum(a * g)); attention pooling applies it in its own
+    backward rule.
     """
     if np.any(m.sum(axis=1) == 0):
         raise EmptySequenceError("masked_softmax: a row has no valid positions")
@@ -336,51 +271,6 @@ def softmax_rows(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     shifted = neg - neg.max(axis=1, keepdims=True)
     e = np.where(m > 0, np.exp(np.where(m > 0, shifted, 0.0)), 0.0)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def masked_softmax(scores: Tensor, mask) -> Tensor:
-    """Softmax over valid positions; masked positions are exactly zero.
-
-    ``mask`` is a constant 0/1 array of the same shape. Works on 1-D score
-    vectors and on (B, T) batches row-wise. The max valid score is subtracted
-    before exponentiating.
-    """
-    m = np.asarray(mask, dtype=np.float64)
-    if m.shape != scores.data.shape:
-        raise ShapeError(f"mask shape {m.shape} != scores shape {scores.data.shape}")
-    s = scores.data
-    squeeze = s.ndim == 1
-    if squeeze:
-        s = s[None, :]
-        m = m[None, :]
-    a = softmax_rows(s, m)
-    out = Tensor(a[0] if squeeze else a)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        ga = g[None, :] if squeeze else g
-        # rowwise: ds = a * (g - sum(a * g)); masked entries have a == 0
-        dot = (a * ga).sum(axis=1, keepdims=True)
-        ds = a * (ga - dot)
-        accumulate_grad(scores, ds[0] if squeeze else ds)
-
-    record(bwd, out)
-    return out
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(x, np.full_like(x.data, float(g)))
-
-    record(bwd, out)
-    return out
 
 
 def square_sum(x: Tensor) -> Tensor:

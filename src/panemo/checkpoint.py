@@ -18,6 +18,7 @@ Two saves of equal content are byte-identical.
 from __future__ import annotations
 
 import ast
+import math
 import struct
 from dataclasses import fields
 
@@ -41,6 +42,22 @@ _MAX_DIM = 1 << 32
 
 # config keys that fix the model's tensor shapes
 _MODEL_KEYS = ("d_emb", "hidden", "n_labels")
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _unit_number(value) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value) and 0 <= value <= 1
+
+
+# the allowed values of the config keys that inference reads
+_CONFIG_CHECKS = {
+    **dict.fromkeys((*_MODEL_KEYS, "max_len"), (_positive_int, "a positive integer")),
+    "threshold": (_unit_number, "a finite number in [0, 1]"),
+}
 
 
 def _write_block(out: bytearray, payload: bytes):
@@ -150,15 +167,13 @@ def load_checkpoint(path):
         key, _, val = line.partition("=")
         config[key] = _parse_value(val)
 
-    sizes = {}
     for key in _MODEL_KEYS:
         if key not in config:
             raise CheckpointError(f"{path}: config is missing key {key!r}")
-        value = config[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise CheckpointError(f"{path}: config key {key}={value!r} is not a positive integer")
-        sizes[key] = value
-    model_config = ModelConfig(**sizes)
+    for key, (allowed, words) in _CONFIG_CHECKS.items():
+        if key in config and not allowed(config[key]):
+            raise CheckpointError(f"{path}: config key {key}={config[key]!r} is not {words}")
+    model_config = ModelConfig(**{key: config[key] for key in _MODEL_KEYS})
     embedding = tensors.get("embedding")
     if embedding is not None and embedding.shape[:1] != (len(vocab),):
         raise CheckpointError(

@@ -41,16 +41,15 @@ _RUN_DEFAULTS = {
 def load_run_config(path) -> dict:
     """Flat key=value UTF-8 config file. Unknown keys are errors."""
     config = dict(_RUN_DEFAULTS)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or key not in _RUN_KEYS:
-                raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
-            config[key] = val
+    for lineno, line in enumerate(textprep.read_text(path, ConfigError).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not sep or key not in _RUN_KEYS:
+            raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
+        config[key] = val
     return config
 
 
@@ -131,7 +130,7 @@ def _load_for_inference(checkpoint_path):
     params, vocab, config, best_val = ckpt.load_checkpoint(
         _require_file(checkpoint_path, "checkpoint")
     )
-    max_len = int(config.get("max_len", 50))
+    max_len = config.get("max_len", 50)
     threshold = float(config.get("threshold", 0.5))
     return params, vocab, max_len, threshold, config, best_val
 
@@ -156,7 +155,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     params, vocab, max_len, tau, _, _ = _load_for_inference(args.checkpoint)
     lines = (
-        Path(args.input).read_text(encoding="utf-8").splitlines()
+        textprep.read_text(args.input).splitlines()
         if args.input
         else sys.stdin.read().splitlines()
     )
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,17 @@ _NUMBER_RE = re.compile(r"^[+-]?\d+([.,]\d+)*$")
 _ELONGATION_RE = re.compile(r"([a-z])\1{2,}")
 # split off runs of punctuation from word characters
 _PUNCT_SPLIT_RE = re.compile(r"[\w<>]+|[^\w\s<>]")
+
+
+def read_text(path, error: type[Exception] = ParseError) -> str:
+    """The text of a UTF-8 file. Bytes that are not UTF-8 raise ``error``
+    naming the file and the line that holds them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line} is not UTF-8") from None
 
 
 def tokenize(text: str) -> list[str]:
@@ -172,8 +184,7 @@ def load_semeval_tsv(path) -> RawDataset:
     no positions to attend over otherwise). Raises ParseError with the
     offending row number, or naming the file when it has no data rows.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header row")
     header = lines[0].split("\t")
@@ -288,21 +299,25 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
     # vocabulary row, source line and value text of every line to copy
     rows, lines, texts = [], [], []
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word, sep, text = line.rstrip("\n").partition(" ")
-            if not sep:
-                continue
-            if text.count(" ") + 1 != d_emb:
-                _parse_vectors(path, texts, lines, d_emb)  # an earlier non-numeric line comes first
-                raise ParseError(
-                    f"{path}: line {lineno} has {text.count(' ') + 1} values, expected {d_emb}"
-                )
-            idx = vocab.index(word)
-            if idx not in (PAD_INDEX, UNK_INDEX):
-                rows.append(idx)
-                lines.append(lineno)
-                texts.append(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                word, sep, text = line.rstrip("\n").partition(" ")
+                if not sep:
+                    continue
+                if text.count(" ") + 1 != d_emb:
+                    _parse_vectors(path, texts, lines, d_emb)  # an earlier non-numeric line comes first
+                    raise ParseError(
+                        f"{path}: line {lineno} has {text.count(' ') + 1} values, expected {d_emb}"
+                    )
+                idx = vocab.index(word)
+                if idx not in (PAD_INDEX, UNK_INDEX):
+                    rows.append(idx)
+                    lines.append(lineno)
+                    texts.append(text)
+    except UnicodeDecodeError:
+        read_text(path)  # the streamed read cannot place the bad bytes; this raises naming their line
+        raise
 
     values = _parse_vectors(path, texts, lines, d_emb)
     last = dict(zip(rows, range(len(rows))))  # vocabulary row -> its last copied line

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .model import ModelParams, forward, predict_scores
+from .model import ModelParams, dropout_mask, forward, predict_scores
 from .textprep import Dataset
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
@@ -220,6 +220,11 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
         t.data[...] = snap[name]
 
 
+def _keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray | None:
+    """A dropout keep mask, drawn only when the rate is above 0."""
+    return dropout_mask(shape, p, rng) if p > 0.0 else None
+
+
 def evaluate_loss(dataset: Dataset, params: ModelParams, config: TrainingConfig) -> float:
     """Eval-mode weighted BCE over a dataset (no L2, no regularizer noise)."""
     idx, msk, lab = dataset.arrays()
@@ -247,6 +252,7 @@ def train(
     embedding_before = params.embedding.data.copy()
 
     trainable = [t for _, t in params.trainable_parameters()]
+    d_emb, d_v = params.config.d_emb, params.config.d_v
     state = AdamState.for_params(trainable)
     shuffle_rng = stream_rng(config.seed, STREAM_SHUFFLE)
     dropout_rng = stream_rng(config.seed, STREAM_DROPOUT)
@@ -267,14 +273,13 @@ def train(
                 t.zero_grad()
             with ad.Tape() as tape:
                 noisy = perturb_hidden_weights(params, config.weight_noise_std, noise_rng)
+                # passed straight in, so the spatial mask is freed with the forward
                 yhat, _, _ = forward(
                     idx[sel],
                     msk[sel],
                     noisy,
-                    mode="train",
-                    dropout_dense=config.dropout_dense,
-                    spatial_dropout=config.spatial_dropout,
-                    rng=RegularizerRngs(spatial=spatial_rng, dense=dropout_rng),
+                    _keep_mask((len(sel), d_emb), config.spatial_dropout, spatial_rng),
+                    _keep_mask((len(sel), d_v), config.dropout_dense, dropout_rng),
                 )
                 loss = ad.add_scalars(
                     [
@@ -312,15 +317,3 @@ def train(
         with open(log_path, "w", encoding="utf-8") as fh:
             fh.write(log.to_tsv())
     return params, log
-
-
-@dataclass
-class RegularizerRngs:
-    """Named streams for the two dropout variants inside forward().
-
-    Keeping them separate means toggling one regularizer never shifts the
-    other's draws.
-    """
-
-    spatial: np.random.Generator
-    dense: np.random.Generator

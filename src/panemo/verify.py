@@ -14,8 +14,9 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .metrics import f1_scores, jaccard_accuracy
 from .autodiff import Tensor
+from .errors import ShapeError
+from .metrics import f1_scores, jaccard_accuracy
 from .model import (
     AttentionParams,
     GruDirectionParams,
@@ -24,12 +25,12 @@ from .model import (
     Packing,
     attention_pool,
     bigru_layer,
+    dropout_mask,
     forward,
     init_params,
 )
 from .textprep import Dataset, Example, NUM_EMOTIONS, random_embeddings
 from .training import (
-    RegularizerRngs,
     TrainingConfig,
     l2_penalty,
     perturb_hidden_weights,
@@ -82,30 +83,93 @@ def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-
     """``downsized_gradcheck`` through the train-mode forward of one step.
 
     Spatial dropout, dense dropout and Gaussian hidden-weight noise are on at
-    the default training rates. Every evaluation of the loss draws them from
-    freshly seeded streams, so the draws are taken once and held fixed while
-    the finite differences move the clean weights underneath the noise.
+    the default training rates. The dropout masks are drawn once, and every
+    evaluation of the loss draws the noise from a freshly seeded stream, so
+    all draws are held fixed while the finite differences move the clean
+    weights underneath the noise.
     """
     params, indices, mask, labels = _gradcheck_batch(seed)
     regime = TrainingConfig()
+    batch, config = len(indices), params.config
+    spatial_keep = dropout_mask((batch, config.d_emb), regime.spatial_dropout, np.random.default_rng(seed + 3))
+    dense_keep = dropout_mask((batch, config.d_v), regime.dropout_dense, np.random.default_rng(seed + 4))
 
     def loss_fn():
         noisy = perturb_hidden_weights(
             params, regime.weight_noise_std, np.random.default_rng(seed + 2)
         )
-        rngs = RegularizerRngs(
-            spatial=np.random.default_rng(seed + 3), dense=np.random.default_rng(seed + 4)
-        )
-        yhat, _, _ = forward(
-            indices, mask, noisy, mode="train", dropout_dense=regime.dropout_dense,
-            spatial_dropout=regime.spatial_dropout, rng=rngs,
-        )
+        yhat, _, _ = forward(indices, mask, noisy, spatial_keep, dense_keep)
         return ad.add_scalars(
             [weighted_bce(yhat, labels, 2.0), l2_penalty(params, l2_coeff)]
         )
 
     trainable = [t for _, t in params.trainable_parameters()]
     return ad.grad_check(loss_fn, trainable, eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# tape ops that only the oracles use
+# ---------------------------------------------------------------------------
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    out = Tensor(y)
+
+    def bwd():
+        if out.grad is not None:
+            ad.accumulate_grad(x, out.grad * (1.0 - y * y))
+
+    ad.record(bwd, out)
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; ``b`` may be a (B, 1) column broadcast over features."""
+    col = a.data.ndim == 2 and b.data.shape == (a.data.shape[0], 1)
+    if a.data.shape != b.data.shape and not col:
+        raise ShapeError(f"mul shape mismatch: {a.data.shape} * {b.data.shape}")
+    out = Tensor(a.data * b.data)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad.accumulate_grad(a, g * b.data)
+        ad.accumulate_grad(b, (g * a.data).sum(axis=1, keepdims=True) if col else g * a.data)
+
+    ad.record(bwd, out)
+    return out
+
+
+def tensor_sum(x: Tensor) -> Tensor:
+    out = Tensor(x.data.sum())
+
+    def bwd():
+        if out.grad is not None:
+            ad.accumulate_grad(x, np.full_like(x.data, float(out.grad)))
+
+    ad.record(bwd, out)
+    return out
+
+
+def masked_softmax(scores: Tensor, mask) -> Tensor:
+    """Row-wise softmax of (B, T) scores over the valid positions of the
+    constant 0/1 ``mask``; masked positions are exactly zero, and a row
+    without a valid position raises EmptySequenceError."""
+    m = np.asarray(mask, dtype=np.float64)
+    if m.ndim != 2 or m.shape != scores.data.shape:
+        raise ShapeError(f"mask shape {m.shape} != (B, T) scores shape {scores.data.shape}")
+    a = ad.softmax_rows(scores.data, m)
+    out = Tensor(a)
+
+    def bwd():
+        g = out.grad
+        if g is not None:  # masked entries have a == 0
+            ad.accumulate_grad(scores, a * (g - (a * g).sum(axis=1, keepdims=True)))
+
+    ad.record(bwd, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +191,14 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, p: GruDirectionParams) -> Tensor:
     z = ad.sigmoid(
         ad.add(ad.add(ad.matmul(x_t, p.W_iz), p.b_iz), ad.add(ad.matmul(h_prev, p.W_hz), p.b_hz))
     )
-    n = ad.tanh(
+    n = tanh(
         ad.add(
             ad.add(ad.matmul(x_t, p.W_in), p.b_in),
-            ad.mul(ad.add(ad.matmul(h_prev, p.W_hn), p.b_hn), r),
+            mul(ad.add(ad.matmul(h_prev, p.W_hn), p.b_hn), r),
         )
     )
     # (1 - z) * n + z * h_prev, written without a standalone ones tensor
-    return ad.add(ad.sub(n, ad.mul(n, z)), ad.mul(h_prev, z))
+    return ad.add(ad.add(n, ad.scale(mul(n, z), -1.0)), mul(h_prev, z))
 
 
 def reference_bigru_layer(
@@ -170,11 +234,11 @@ def reference_attention_pool(
     one score per position, then a sum of per-position weighted terms."""
     T = len(us)
     scores = ad.concat_features([ad.add(ad.matmul(u, p.w_a), p.b) for u in us])  # (B, T)
-    weights = ad.masked_softmax(scores, mask)
+    weights = masked_softmax(scores, mask)
     pooled = None
     for t, u in enumerate(us):
         column = ad.matmul(weights, Tensor(np.eye(T)[:, t : t + 1]))  # (B, 1)
-        term = ad.mul(u, column)
+        term = mul(u, column)
         pooled = term if pooled is None else ad.add(pooled, term)
     return pooled, weights.data.copy()
 
@@ -271,13 +335,13 @@ def check_fused_bigru(
             if fused:
                 xs = Tensor(pack.pack(x), trainable=True)
                 out = bigru_layer(xs, fwd, bwd, mask, pack)
-                loss = ad.tensor_sum(ad.mul_const(out, pack.pack(probe)))
+                loss = tensor_sum(ad.mul_const(out, pack.pack(probe)))
                 out = Tensor(pack.unpack(out.data))
             else:
                 xs = [Tensor(x[t], trainable=True) for t in range(T)]
                 outs = reference_bigru_layer(xs, fwd, bwd, mask)
                 loss = ad.add_scalars(
-                    [ad.tensor_sum(ad.mul_const(o, probe[t])) for t, o in enumerate(outs)]
+                    [tensor_sum(ad.mul_const(o, probe[t])) for t, o in enumerate(outs)]
                 )
                 out = Tensor(np.stack([o.data for o in outs]))
         ad.backward(loss, tape)
@@ -318,11 +382,11 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
         with ad.Tape() as tape:
             if fused:
                 us = [Tensor(pack.pack(u[..., :split]), trainable=True), Tensor(pack.pack(u[..., split:]))]
-                pooled, weights = attention_pool(us, p, mask, pack)
+                pooled, weights = attention_pool(us, p, pack)
             else:
                 us = [Tensor(u[t], trainable=True) for t in range(T)]
                 pooled, weights = reference_attention_pool(us, p, mask)
-            loss = ad.tensor_sum(ad.mul_const(pooled, probe))
+            loss = tensor_sum(ad.mul_const(pooled, probe))
         ad.backward(loss, tape)
         du = pack.unpack(us[0].grad) if fused else np.stack([t.grad for t in us])[..., :split]
         return [pooled.data, weights, du, p.w_a.grad.copy()], float(np.abs(p.b.grad).max())
@@ -425,16 +489,16 @@ def check_softmax_invariants(n_trials: int = 500, seed: int = 0) -> float:
     for _ in range(n_trials):
         T = int(rng.integers(1, 12))
         n_valid = int(rng.integers(1, T + 1))
-        mask = np.array([1.0] * n_valid + [0.0] * (T - n_valid))
-        scores = ad.Tensor(rng.uniform(-5, 5, size=T))
-        a = ad.masked_softmax(scores, mask).data
+        mask = np.array([[1.0] * n_valid + [0.0] * (T - n_valid)])
+        scores = ad.Tensor(rng.uniform(-5, 5, size=(1, T)))
+        a = masked_softmax(scores, mask).data
         worst = max(worst, abs(a[mask > 0].sum() - 1.0))
         worst = max(worst, float(np.abs(a[mask == 0]).max(initial=0.0)))
         if a.min() < 0:
             worst = max(worst, -float(a.min()))
         # shift invariance over valid positions
         shifted = ad.Tensor(scores.data + 3.7)
-        a2 = ad.masked_softmax(shifted, mask).data
+        a2 = masked_softmax(shifted, mask).data
         worst = max(worst, float(np.abs(a - a2).max()))
     return worst
 
@@ -454,7 +518,7 @@ def check_attention_convex_hull(n_trials: int = 500, seed: int = 0) -> float:
             b=ad.Tensor(rng.uniform(-1, 1, size=1), trainable=True),
         )
         pack = Packing(mask)
-        v, _ = attention_pool([ad.Tensor(pack.pack(u))], p, mask, pack)
+        v, _ = attention_pool([ad.Tensor(pack.pack(u))], p, pack)
         valid = u[:n_valid, 0]
         lo, hi = valid.min(axis=0), valid.max(axis=0)
         worst = max(worst, float(np.maximum(lo - v.data[0], v.data[0] - hi).max(initial=0.0)))

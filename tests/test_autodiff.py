@@ -9,6 +9,7 @@ from panemo.errors import (
     ShapeError,
     TapeConsumedError,
 )
+from panemo.verify import masked_softmax, mul, tanh, tensor_sum
 
 
 def naive_matmul(a, b):
@@ -54,11 +55,13 @@ class TestMatmul:
 
 
 class TestActivation:
+    """``sigmoid`` is the model's; ``tanh`` is the per-step GRU oracle's."""
+
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
 
     def test_tanh_at_zero(self):
-        assert ad.tanh(Tensor([0.0])).data[0] == 0.0
+        assert tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_sigmoid_closed_form(self):
         # sigmoid(ln 3) = 3 / (1 + 3)
@@ -68,51 +71,49 @@ class TestActivation:
     def test_ranges(self):
         x = Tensor(np.linspace(-50, 50, 101))
         s = ad.sigmoid(x).data
-        t = ad.tanh(x).data
+        t = tanh(x).data
         assert np.all((s >= 0) & (s <= 1))
         assert np.all((t >= -1) & (t <= 1))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ad.activation(Tensor([0.0]), "relu")
-
 
 class TestMaskedSoftmax:
+    """The attention oracle's masked softmax, on rows of (B, T) scores."""
+
     def test_uniform(self):
-        out = ad.masked_softmax(Tensor([0.0, 0.0, 0.0]), [1, 1, 1])
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = masked_softmax(Tensor([[0.0, 0.0, 0.0]]), [[1, 1, 1]])
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_single_valid(self):
-        out = ad.masked_softmax(Tensor([5.0]), [1])
-        np.testing.assert_array_equal(out.data, [1.0])
+        out = masked_softmax(Tensor([[5.0]]), [[1]])
+        np.testing.assert_array_equal(out.data, [[1.0]])
 
     def test_ln2_case(self):
-        out = ad.masked_softmax(Tensor([np.log(2.0), 0.0]), [1, 1])
-        np.testing.assert_allclose(out.data, [2 / 3, 1 / 3], atol=1e-15)
+        out = masked_softmax(Tensor([[np.log(2.0), 0.0]]), [[1, 1]])
+        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_masked_positions_exactly_zero(self):
-        out = ad.masked_softmax(Tensor([1.0, 2.0, 3.0]), [1, 0, 1])
-        assert out.data[1] == 0.0
-        assert abs(out.data[0] + out.data[2] - 1.0) < 1e-12
+        out = masked_softmax(Tensor([[1.0, 2.0, 3.0]]), [[1, 0, 1]])
+        assert out.data[0, 1] == 0.0
+        assert abs(out.data[0, 0] + out.data[0, 2] - 1.0) < 1e-12
 
     def test_all_masked_raises(self):
         with pytest.raises(EmptySequenceError):
-            ad.masked_softmax(Tensor([1.0, 2.0]), [0, 0])
+            masked_softmax(Tensor([[1.0, 2.0], [3.0, 4.0]]), [[1, 1], [0, 0]])
 
     def test_large_scores_stable(self):
-        out = ad.masked_softmax(Tensor([1000.0, 999.0]), [1, 1])
+        out = masked_softmax(Tensor([[1000.0, 999.0]]), [[1, 1]])
         assert np.all(np.isfinite(out.data))
         assert abs(out.data.sum() - 1.0) < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            s = rng.uniform(-5, 5, 7)
-            mask = rng.integers(0, 2, 7)
+            s = rng.uniform(-5, 5, (1, 7))
+            mask = rng.integers(0, 2, (1, 7))
             if mask.sum() == 0:
-                mask[0] = 1
-            a = ad.masked_softmax(Tensor(s), mask).data
-            b = ad.masked_softmax(Tensor(s + 11.3), mask).data
+                mask[0, 0] = 1
+            a = masked_softmax(Tensor(s), mask).data
+            b = masked_softmax(Tensor(s + 11.3), mask).data
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -140,7 +141,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         p = Tensor(np.arange(4.0).reshape(2, 2), trainable=True)
         with Tape() as tape:
-            loss = ad.tensor_sum(p)
+            loss = tensor_sum(p)
         backward(loss, tape)
         np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
@@ -148,7 +149,7 @@ class TestBackward:
         p = Tensor(np.ones((2, 2)), trainable=True)
         q = Tensor(np.ones((2, 2)), trainable=True)
         with Tape() as tape:
-            loss = ad.tensor_sum(q)
+            loss = tensor_sum(q)
         backward(loss, tape)
         np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
 
@@ -158,7 +159,7 @@ class TestBackward:
         q = Tensor(rng.uniform(-1, 1, (3, 2)), trainable=True)
 
         def f():
-            return ad.tensor_sum(ad.sigmoid(ad.matmul(p, q)))
+            return tensor_sum(ad.sigmoid(ad.matmul(p, q)))
 
         err = ad.grad_check(f, [p, q], eps=1e-5)
         assert err < 1e-6
@@ -166,7 +167,7 @@ class TestBackward:
     def test_frozen_leaf_untouched(self):
         frozen = Tensor(np.ones((2, 2)), trainable=False)
         with Tape() as tape:
-            loss = ad.tensor_sum(ad.mul(frozen, frozen))
+            loss = tensor_sum(mul(frozen, frozen))
         backward(loss, tape)
         assert frozen.grad is None
 
@@ -180,7 +181,7 @@ class TestBackward:
     def test_tape_consumed_on_use(self):
         p = Tensor(np.ones(3), trainable=True)
         with Tape() as tape:
-            loss = ad.tensor_sum(p)
+            loss = tensor_sum(p)
         backward(loss, tape)
         with pytest.raises(TapeConsumedError):
             backward(loss, tape)
@@ -189,7 +190,7 @@ class TestBackward:
         # x feeds two branches; gradients must add
         x = Tensor(np.array([2.0]), trainable=True)
         with Tape() as tape:
-            loss = ad.add_scalars([ad.tensor_sum(x), ad.square_sum(x)])
+            loss = ad.add_scalars([tensor_sum(x), ad.square_sum(x)])
         backward(loss, tape)
         np.testing.assert_allclose(x.grad, [1.0 + 4.0])
 
@@ -228,7 +229,8 @@ class TestGradCheck:
 
 
 def test_every_op_gradient_vs_finite_differences():
-    """Randomized check across all differentiable primitives."""
+    """Randomized check across all differentiable primitives, the oracle-only
+    ops of ``verify`` included."""
     rng = np.random.default_rng(4)
     a = Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
     b = Tensor(rng.uniform(-1, 1, (4, 3)), trainable=True)
@@ -236,14 +238,15 @@ def test_every_op_gradient_vs_finite_differences():
     col = Tensor(rng.uniform(0.5, 1.5, (3, 1)), trainable=True)
     scores = Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
     mask = np.array([[1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 0]], dtype=float)
+    factors, offsets = rng.uniform(-2, 2, (3, 3)), rng.uniform(-1, 1, (3, 3))
 
     def f():
         m = ad.add(ad.matmul(a, b), bias)
-        m = ad.mul(ad.tanh(m), col)
-        sm = ad.masked_softmax(scores, mask)
-        cat = ad.concat_features([m, sm, ad.sub(m, m)])
+        m = mul(tanh(m), col)
+        sm = masked_softmax(scores, mask)
+        cat = ad.concat_features([m, sm, ad.add_const(ad.mul_const(m, factors), offsets)])
         return ad.add_scalars(
-            [ad.tensor_sum(ad.sigmoid(cat)), ad.scale(ad.square_sum(a), 0.1)]
+            [tensor_sum(ad.sigmoid(cat)), ad.scale(ad.square_sum(a), 0.1)]
         )
 
     err = ad.grad_check(f, [a, b, bias, col, scores], eps=1e-5)

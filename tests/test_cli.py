@@ -166,6 +166,61 @@ def test_header_only_tsv_is_user_error(workspace, capsys):
     assert capsys.readouterr().err == f"error: {header_only}: no data rows after the header\n"
 
 
+NOT_UTF8_ROW = "t-9\tcaf\udce9 ok\t" + "\t".join(["0"] * 11) + "\n"  # a Latin-1 byte
+TRAIN = ["train", "--config", "{ws}/run.cfg"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        pytest.param({"run.cfg": "# caf\udce9\n"}, TRAIN, "run.cfg: line 11 is not UTF-8", id="config"),
+        pytest.param({"train.tsv": NOT_UTF8_ROW}, TRAIN, "train.tsv: line 14 is not UTF-8", id="train TSV"),
+        pytest.param({"dev.tsv": NOT_UTF8_ROW}, TRAIN, "dev.tsv: line 8 is not UTF-8", id="dev TSV"),
+        pytest.param(
+            {"vectors.txt": "happy" + " 0.5" * 8 + "\ncaf\udce9" + " 0.5" * 8 + "\n",
+             "run.cfg": "embeddings_path={ws}/vectors.txt\n"},
+            TRAIN,
+            "vectors.txt: line 2 is not UTF-8",
+            id="embeddings",
+        ),
+        pytest.param(
+            {"dev.tsv": NOT_UTF8_ROW},
+            ["evaluate", "--checkpoint", "{ws}/model.ckpt", "--data", "{ws}/dev.tsv"],
+            "dev.tsv: line 8 is not UTF-8",
+            id="evaluate data",
+        ),
+        pytest.param(
+            {"tweets.txt": "fine\ncaf\udce9\n"},
+            ["predict", "--checkpoint", "{ws}/model.ckpt", "--input", "{ws}/tweets.txt"],
+            "tweets.txt: line 2 is not UTF-8",
+            id="predict input",
+        ),
+        pytest.param({"dir": None}, ["train", "--config", "{ws}/dir"], "Is a directory: '{ws}/dir'", id="config dir"),
+        pytest.param(
+            {"dir": None},
+            ["predict", "--checkpoint", "{ws}/model.ckpt", "--input", "{ws}/dir"],
+            "Is a directory: '{ws}/dir'",
+            id="predict input dir",
+        ),
+    ],
+)
+def test_unreadable_file_is_user_error(workspace, capsys, files, argv, message):
+    """A file that is not UTF-8, or a directory where a file is read, exits 1 naming it."""
+    save_checkpoint(
+        build_downsized(seed=0), Vocabulary([f"tok{i}" for i in range(18)]), TrainingConfig(), 0.5,
+        workspace / "model.ckpt",
+    )
+    for name, content in files.items():
+        if content is None:
+            (workspace / name).mkdir()
+        else:  # appended; surrogate escapes are written as the raw bytes they stand for
+            with open(workspace / name, "a", encoding="utf-8", errors="surrogateescape") as fh:
+                fh.write(content.format(ws=workspace))
+    assert main([arg.format(ws=workspace) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message.format(ws=workspace) in err
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("learning_rate=0.1\n")
@@ -188,16 +243,23 @@ def test_bad_checkpoint_is_user_error(tmp_path, capsys):
     assert err.startswith("error:") and err.strip().count("\n") == 0
 
 
-def _wrong_shape(params, tokens):
+def _wrong_shape(params, tokens, extra):
     params.attn2.w_a = Tensor(np.zeros((7, 1)), trainable=True)
 
 
-def _non_finite(params, tokens):
+def _non_finite(params, tokens, extra):
     params.W_d.data[0, 0] = np.inf
 
 
-def _short_vocabulary(params, tokens):
+def _short_vocabulary(params, tokens, extra):
     tokens.pop()
+
+
+def _max_len(value):
+    def edit(params, tokens, extra):
+        extra["max_len"] = value
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -214,15 +276,29 @@ def _short_vocabulary(params, tokens):
         pytest.param(_short_vocabulary, None, "vocabulary has 19 tokens", id="vocabulary size"),
         pytest.param(_non_finite, None, "record dense.W_d has a non-finite value", id="non-finite value"),
         pytest.param(None, (b"tok17", b"tok\xff7"), "vocabulary is not UTF-8", id="non-UTF-8 vocabulary"),
+        pytest.param(_max_len("abc"), None, "max_len='abc' is not a positive integer", id="max_len not a number"),
+        pytest.param(_max_len(0), None, "max_len=0 is not a positive integer", id="max_len zero"),
+        pytest.param(_max_len(2.7), None, "max_len=2.7 is not a positive integer", id="max_len fraction"),
+        pytest.param(
+            None, (b"threshold=0.5", b"threshold=abc"), "threshold='abc' is not a finite number", id="threshold text"
+        ),
+        pytest.param(
+            None, (b"threshold=0.5", b"threshold=nan"), "threshold='nan' is not a finite number", id="threshold nan"
+        ),
+        pytest.param(
+            None, (b"threshold=0.5", b"threshold=1.5"), "threshold=1.5 is not a finite number in [0, 1]",
+            id="threshold above 1",
+        ),
     ],
 )
 def test_bad_checkpoint_record_is_user_error(tmp_path, capsys, edit, replace, message):
     params = build_downsized(seed=0)
     tokens = [f"tok{i}" for i in range(18)]
+    extra = {"max_len": 6}
     if edit is not None:
-        edit(params, tokens)
+        edit(params, tokens, extra)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, Vocabulary(tokens), TrainingConfig(), 0.5, path)
+    save_checkpoint(params, Vocabulary(tokens), TrainingConfig(), 0.5, path, extra_config=extra)
     if replace is not None:
         path.write_bytes(path.read_bytes().replace(*replace))
     data = tmp_path / "dev.tsv"

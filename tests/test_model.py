@@ -19,7 +19,7 @@ from panemo.model import (
     row_ends,
 )
 from panemo.textprep import random_embeddings
-from panemo.verify import build_downsized, gru_cell
+from panemo.verify import build_downsized, gru_cell, tensor_sum
 
 
 def packed(a, mask):
@@ -56,7 +56,7 @@ class TestEmbed:
     def test_pad_row_is_zero(self):
         emb = Tensor(random_embeddings(10, 4, seed=0).weights)
         mask = np.ones((1, 2))
-        xs = unpacked(embed(np.array([[0, 3]]), emb, mask), mask)
+        xs = unpacked(embed(np.array([[0, 3]]), emb, Packing(mask)), mask)
         np.testing.assert_array_equal(xs[0], np.zeros((1, 4)))
 
     def test_equivalent_to_one_hot_matmul(self):
@@ -64,7 +64,7 @@ class TestEmbed:
         rng = np.random.default_rng(2)
         idx = rng.integers(0, 12, size=(1, 20))
         mask = np.ones((1, 20))
-        xs = unpacked(embed(idx, emb, mask), mask)
+        xs = unpacked(embed(idx, emb, Packing(mask)), mask)
         for t in range(20):
             one_hot = np.zeros((1, 12))
             one_hot[0, idx[0, t]] = 1.0
@@ -74,14 +74,14 @@ class TestEmbed:
         emb = Tensor(random_embeddings(8, 3, seed=3).weights)
         idx = np.array([[2, 4, 6], [2, 4, 6]])
         mask = np.ones((2, 3))
-        xs = unpacked(embed(idx, emb, mask), mask)
+        xs = unpacked(embed(idx, emb, Packing(mask)), mask)
         for x in xs:
             np.testing.assert_array_equal(x[0], x[1])
 
     def test_out_of_range_index(self):
         emb = Tensor(random_embeddings(5, 3, seed=0).weights)
         with pytest.raises(IndexError):
-            embed(np.array([[7]]), emb, np.ones((1, 1)))
+            embed(np.array([[7]]), emb, Packing(np.ones((1, 1))))
 
 
 class TestGruCell:
@@ -130,7 +130,7 @@ class TestBigruLayer:
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         x = Tensor(rng.uniform(-1, 1, (1, 3)))
         mask = np.ones((1, 1))
-        out = bigru_layer(packed(x.data[None], mask), fwd, bwd, mask)
+        out = bigru_layer(packed(x.data[None], mask), fwd, bwd, mask, Packing(mask))
         h0 = Tensor(np.zeros((1, 4)))
         expected = np.concatenate(
             [gru_cell(x, h0, fwd).data, gru_cell(x, h0, bwd).data], axis=1
@@ -143,9 +143,10 @@ class TestBigruLayer:
         xs_short = rng.uniform(-1, 1, (3, 1, 3))
         pad = np.zeros((2, 1, 3))
         short, padded = np.ones((1, 3)), np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-        out_short = unpacked(bigru_layer(packed(xs_short, short), fwd, bwd, short), short)
+        out_short = unpacked(bigru_layer(packed(xs_short, short), fwd, bwd, short, Packing(short)), short)
         out_padded = unpacked(
-            bigru_layer(packed(np.concatenate([xs_short, pad]), padded), fwd, bwd, padded), padded
+            bigru_layer(packed(np.concatenate([xs_short, pad]), padded), fwd, bwd, padded, Packing(padded)),
+            padded,
         )
         for t in range(3):
             np.testing.assert_allclose(out_padded[t], out_short[t], atol=1e-12)
@@ -155,7 +156,7 @@ class TestBigruLayer:
     def test_zero_input_zero_params(self):
         fwd, bwd = zero_gru(3, 4), zero_gru(3, 4)
         mask = np.ones((2, 4))
-        out = bigru_layer(packed(np.zeros((4, 2, 3)), mask), fwd, bwd, mask)
+        out = bigru_layer(packed(np.zeros((4, 2, 3)), mask), fwd, bwd, mask, Packing(mask))
         for o in unpacked(out, mask):
             np.testing.assert_array_equal(o, np.zeros((2, 8)))
 
@@ -200,7 +201,7 @@ class TestFusedOracle:
         u = packed(np.ones((mask.shape[1], mask.shape[0], 2)), mask)
         p = AttentionParams(w_a=Tensor(np.ones((2, 1))), b=Tensor(np.zeros(1)))
         with pytest.raises(EmptySequenceError):
-            attention_pool([u], p, mask)
+            attention_pool([u], p, Packing(mask))
 
     def test_frozen_input_gets_no_gradient(self):
         rng = np.random.default_rng(16)
@@ -208,7 +209,7 @@ class TestFusedOracle:
         mask = np.ones((2, 3))
         x = packed(rng.uniform(-1, 1, (3, 2, 3)), mask)
         with ad.Tape() as tape:
-            loss = ad.tensor_sum(bigru_layer(x, fwd, bwd, mask))
+            loss = tensor_sum(bigru_layer(x, fwd, bwd, mask, Packing(mask)))
         ad.backward(loss, tape)
         assert x.grad is None
         assert np.abs(fwd.W_ir.grad).max() > 0.0
@@ -254,7 +255,7 @@ class TestAttentionPool:
         rng = np.random.default_rng(10)
         u = rng.uniform(-1, 1, (1, 1, 5))
         mask = np.ones((1, 1))
-        v, a = attention_pool([packed(u, mask)], self.make_params(rng, 5), mask)
+        v, a = attention_pool([packed(u, mask)], self.make_params(rng, 5), Packing(mask))
         np.testing.assert_allclose(v.data, u[0], atol=1e-15)
         np.testing.assert_allclose(a, [[1.0]])
 
@@ -263,7 +264,7 @@ class TestAttentionPool:
         row = rng.uniform(-1, 1, (1, 4))
         mask = np.ones((1, 5))
         us = packed(np.stack([row] * 5), mask)
-        v, _ = attention_pool([us], self.make_params(rng, 4), mask)
+        v, _ = attention_pool([us], self.make_params(rng, 4), Packing(mask))
         np.testing.assert_allclose(v.data, row, atol=1e-12)
 
     def test_hand_set_scores(self):
@@ -274,7 +275,7 @@ class TestAttentionPool:
         us = packed(np.stack([u1, u2]), mask)
         # score u1 via w_a so that e1 = ln2, e2 = 0
         p.w_a.data[0, 0] = np.log(2.0)
-        v, a = attention_pool([us], p, mask)
+        v, a = attention_pool([us], p, Packing(mask))
         np.testing.assert_allclose(a, [[2 / 3, 1 / 3]], atol=1e-15)
         np.testing.assert_allclose(v.data, (2 / 3) * u1 + (1 / 3) * u2, atol=1e-15)
 
@@ -283,9 +284,9 @@ class TestAttentionPool:
         mask = np.ones((1, 4))
         us = packed(rng.uniform(-1, 1, (4, 1, 4)), mask)
         p = self.make_params(rng, 4)
-        v1, a1 = attention_pool([us], p, mask)
+        v1, a1 = attention_pool([us], p, Packing(mask))
         p.b.data[...] += 17.0
-        v2, a2 = attention_pool([us], p, mask)
+        v2, a2 = attention_pool([us], p, Packing(mask))
         np.testing.assert_allclose(a1, a2, atol=1e-12)
         np.testing.assert_allclose(v1.data, v2.data, atol=1e-12)
 
@@ -293,7 +294,7 @@ class TestAttentionPool:
         rng = np.random.default_rng(13)
         mask = np.ones((1, 6))
         us = packed(rng.uniform(-2, 2, (6, 1, 3)), mask)
-        v, _ = attention_pool([us], self.make_params(rng, 3), mask)
+        v, _ = attention_pool([us], self.make_params(rng, 3), Packing(mask))
         stacked = us.data
         assert np.all(v.data[0] >= stacked.min(axis=0) - 1e-12)
         assert np.all(v.data[0] <= stacked.max(axis=0) + 1e-12)
@@ -362,11 +363,6 @@ class TestForward:
         y1, _, _ = forward(idx, msk, params)
         y2, _, _ = forward(idx, msk, params)
         assert y1.data.tobytes() == y2.data.tobytes()
-
-    def test_bad_mode(self):
-        params = build_downsized(seed=0)
-        with pytest.raises(ValueError):
-            forward(np.array([[2]]), np.ones((1, 1)), params, mode="test")
 
     def test_dimension_chain_full_size(self):
         config = ModelConfig()  # d_emb 300, hidden 50
@@ -487,7 +483,7 @@ def test_full_model_gradients_vs_finite_differences_small():
 
     def f():
         yhat, _, _ = forward(idx, msk, params)
-        return ad.tensor_sum(yhat)
+        return tensor_sum(yhat)
 
     subset = [params.gru1_fwd.W_hn, params.attn1.w_a, params.W_d, params.gru2_bwd.b_hz]
     # end-to-end tolerance; per-op checks at 1e-6 live in test_autodiff

@@ -4,11 +4,10 @@ import pytest
 from panemo import autodiff as ad
 from panemo.autodiff import Tape, Tensor, backward
 from panemo.errors import ShapeError
-from panemo.model import Packing, dropout_mask, forward, spatial_dropout_mask
+from panemo.model import Packing, dropout_mask, forward
 from panemo.training import (
     AdamState,
     EpochRecord,
-    RegularizerRngs,
     TrainingConfig,
     TrainingLog,
     adam_step,
@@ -106,15 +105,6 @@ class TestDropout:
         x = np.arange(12.0).reshape(3, 4)
         rng = np.random.default_rng(0)
         assert np.array_equal(x * dropout_mask(x.shape, 0.0, rng), x)
-        assert np.array_equal(x * spatial_dropout_mask(x.shape, 0.0, rng), x)
-
-    def test_eval_identity(self):
-        params = build_downsized(seed=0)
-        idx = np.array([[2, 7, 11, 3, 0], [5, 4, 0, 0, 0]])
-        msk = (idx > 0).astype(np.float64)
-        plain, _, _ = forward(idx, msk, params, mode="eval")
-        rates, _, _ = forward(idx, msk, params, mode="eval", dropout_dense=0.9, spatial_dropout=0.9)
-        assert np.array_equal(rates.data, plain.data)
 
     def test_inverted_scaling(self):
         rng = np.random.default_rng(1)
@@ -129,7 +119,7 @@ class TestDropout:
         mask[1, 20:] = 0.0
         pack = Packing(mask)
         rows = np.ones((pack.N, 30))  # packed (positions, d) rows of four examples
-        out = pack.unpack(pack.scale(rows, spatial_dropout_mask((4, 30), 0.4, rng)))
+        out = pack.unpack(pack.scale(rows, dropout_mask((4, 30), 0.4, rng)))
         for b, length in enumerate([50, 20, 50, 50]):
             for c in range(30):
                 col = out[:length, b, c]
@@ -137,7 +127,7 @@ class TestDropout:
 
     def test_spatial_drop_fraction_monte_carlo(self):
         rng = np.random.default_rng(3)
-        mask = spatial_dropout_mask((100000,), 0.4, rng)
+        mask = dropout_mask((100000,), 0.4, rng)
         frac = float((mask == 0).mean())
         assert abs(frac - 0.4) < 0.01
 
@@ -357,17 +347,14 @@ def test_evaluate_loss_matches_per_batch_loop(n, batch_size):
 
 
 def test_train_eval_asymmetry_vanishes_without_regularizers():
+    """Keep masks that keep everything give the eval forward's scores exactly."""
     params = build_downsized(seed=6)
     idx = np.array([[2, 7, 11, 3, 0]])
     msk = np.array([[1.0, 1, 1, 1, 0]])
-    rngs = RegularizerRngs(
-        spatial=np.random.default_rng(0), dense=np.random.default_rng(1)
-    )
-    y_eval, _, _ = forward(idx, msk, params, mode="eval")
-    y_train, _, _ = forward(
-        idx, msk, params, mode="train", dropout_dense=0.0, spatial_dropout=0.0, rng=rngs
-    )
-    assert np.abs(y_eval.data - y_train.data).max() < 1e-12
+    config = params.config
+    y_eval, _, _ = forward(idx, msk, params)
+    y_train, _, _ = forward(idx, msk, params, np.ones((1, config.d_emb)), np.ones((1, config.d_v)))
+    assert np.array_equal(y_eval.data, y_train.data)
 
 
 def test_train_mode_gradient_check():
