@@ -60,7 +60,7 @@ class Tape:
 
     Forward execution order is a topological order of the graph, so replaying
     the records in reverse is a valid reverse-mode sweep. The tape is consumed
-    by ``backward``; a second replay raises TapeConsumedError.
+    by ``backward``, which empties it; a second replay raises TapeConsumedError.
     """
 
     def __init__(self):
@@ -118,7 +118,8 @@ def accumulate_grad(t: Tensor, g: np.ndarray):
 def backward(loss: Tensor, tape: Tape):
     """Replay the tape in reverse, populating grads of reachable tensors.
 
-    ``loss`` must be a scalar produced through ``tape``. The tape is consumed.
+    ``loss`` must be a scalar produced through ``tape``. The tape is
+    consumed: it ends empty, so nothing its rules saved outlives the call.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -126,8 +127,9 @@ def backward(loss: Tensor, tape: Tape):
         raise TapeConsumedError("tape already consumed by a previous backward()")
     tape._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for fn in reversed(tape._records):
-        fn()
+    records = tape._records
+    while records:
+        records.pop()()  # a rule, and the arrays it saved, are released once run
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,27 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
+def _load_report(name: str, raw: textprep.RawDataset, dataset: textprep.Dataset, max_len: int) -> str:
+    """Example count, share of tweets cut at max_len, and share of kept tokens out of vocabulary."""
+    truncated = np.mean([len(tokens) > max_len for tokens in raw.token_lists])
+    idx, msk, _ = dataset.arrays()
+    unk = np.count_nonzero((idx == textprep.UNK_INDEX) & (msk > 0)) / np.count_nonzero(msk)
+    return f"{name} data: {len(dataset)} examples, truncation rate {truncated:.3f} at max_len={max_len}, UNK rate {unk:.3f}"
+
+
+def _headline_report(dataset: textprep.Dataset, params, tau: float):
+    """Thresholded predictions, gold labels and their report; prints the
+    Jaccard, Micro and Macro lines."""
+    idx, msk, _ = dataset.arrays()
+    pred = metrics.threshold(predict_scores(idx, msk, params), tau)
+    gold = dataset.label_matrix()
+    report = metrics.compute_report(pred, gold)
+    print(f"Jaccard\t{report.jaccard:.4f}")
+    print(f"Micro\t{report.micro_f1:.4f}")
+    print(f"Macro\t{report.macro_f1:.4f}")
+    return pred, gold
+
+
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     for key in ("train_path", "dev_path"):
@@ -96,6 +117,8 @@ def cmd_train(args) -> int:
 
     raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
     raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))
+    # read now, so a missing or malformed test file fails before training
+    raw_test = textprep.load_semeval_tsv(_require_file(run["test_path"], "test TSV")) if "test_path" in run else None
     vocab = textprep.build_vocabulary(raw_train.token_lists, min_count)
 
     if "embeddings_path" in run:
@@ -108,6 +131,8 @@ def cmd_train(args) -> int:
 
     train_set = textprep.encode_dataset(raw_train, vocab, max_len)
     dev_set = textprep.encode_dataset(raw_dev, vocab, max_len)
+    print(_load_report("train", raw_train, train_set, max_len))
+    print(_load_report("dev", raw_dev, dev_set, max_len))
     params = init_params(emb, ModelConfig(d_emb=d_emb, hidden=hidden), tcfg.seed)
 
     params, log = train(train_set, dev_set, tcfg, params, log_path=run["log_path"])
@@ -123,6 +148,9 @@ def cmd_train(args) -> int:
         f"best epoch {log.best_epoch}, validation loss {log.best_val_loss:.6f}; "
         f"checkpoint written to {run['checkpoint_path']}"
     )
+    if raw_test is not None:
+        print(f"test set at best epoch {log.best_epoch}: {run['test_path']}")
+        _headline_report(textprep.encode_dataset(raw_test, vocab, max_len), params, tcfg.threshold)
     return 0
 
 
@@ -139,14 +167,7 @@ def cmd_evaluate(args) -> int:
     params, vocab, max_len, tau, config, _ = _load_for_inference(args.checkpoint)
     raw = textprep.load_semeval_tsv(_require_file(args.data, "data TSV"))
     dataset = textprep.encode_dataset(raw, vocab, max_len)
-    idx, msk, _ = dataset.arrays()
-    scores = predict_scores(idx, msk, params)
-    pred = metrics.threshold(scores, tau)
-    gold = dataset.label_matrix()
-    report = metrics.compute_report(pred, gold)
-    print(f"Jaccard\t{report.jaccard:.4f}")
-    print(f"Micro\t{report.micro_f1:.4f}")
-    print(f"Macro\t{report.macro_f1:.4f}")
+    pred, gold = _headline_report(dataset, params, tau)
     print()
     print(metrics.per_class_report(pred, gold))
     return 0
@@ -154,12 +175,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     params, vocab, max_len, tau, _, _ = _load_for_inference(args.checkpoint)
-    lines = (
-        textprep.read_text(args.input).splitlines()
+    text = (
+        textprep.read_text(args.input)
         if args.input
-        else sys.stdin.read().splitlines()
+        else textprep.decode_text(sys.stdin.buffer.read(), "<stdin>")
     )
-    lines = [line for line in lines if line.strip()]
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         return 0
     indices, masks = zip(*(textprep.encode(textprep.tokenize(line), vocab, max_len) for line in lines))

@@ -8,6 +8,7 @@ dense sigmoid head over 11 emotion classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -202,9 +203,13 @@ class Packing:
             self.cell = rank * S + step  # its cell of a (B, S) ranks-by-steps grid
             # The backward scan steps each row's own prefix reversed (time
             # end - 1 - s); bperm maps its packed rows to forward-packed ones.
-            self.bperm = off[ends[order][rank] - 1 - step] + rank
+            bperm = off[ends[order][rank] - 1 - step] + rank
+            # Of (N, 2d) forward-packed rows viewed as (2N, d), the backward
+            # halves of the backward scan's rows: a gather or scatter through
+            # these indices moves whole contiguous rows and builds no copy.
+            self.bhalf = 2 * bperm + 1
             valid = valid.reshape(T * B)[self.index]
-            bvalid = valid[self.bperm]
+            bvalid = valid[bperm]
         else:
             bvalid = valid[::-1].reshape(N)
             valid = valid.reshape(N)
@@ -281,12 +286,41 @@ def embed(indices: np.ndarray, embedding: Tensor, pack: Packing) -> Tensor:
     return Tensor(embedding.data[indices])
 
 
+class Workspace:
+    """Grow-only float64 buffers for the BiGRU layers' per-step arrays.
+
+    ``take(key, shape)`` returns a C-contiguous view of the first
+    prod(shape) entries of the buffer named ``key``, replacing the buffer
+    with a larger one when it is too small; the view holds whatever the last
+    user of the key left there. A train loop that keeps one workspace across
+    its steps fills the same memory every step instead of allocating it anew.
+
+    A workspace serves one taped forward at a time. The backward rule of a
+    BiGRU layer reads the buffers its forward filled, so a second forward on
+    the same workspace before ``backward`` overwrites them. A layer's output
+    and saved state are workspace views that live only within a step;
+    ``yhat``, the attention maps and every ``.grad`` are separate arrays.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def bigru_layer(
     x: Tensor,
     fwd: GruDirectionParams,
     bwd: GruDirectionParams,
     mask: np.ndarray,
     pack: Packing,
+    ws: Workspace | None = None,
+    layer: str = "gru",
 ) -> Tensor:
     """Bidirectional GRU scan over a sequence, as one tape op.
 
@@ -314,7 +348,14 @@ def bigru_layer(
     GEMM per step, and the gradients are split back onto the 12 per-gate
     tensors of each direction (which may be weight-noise views of the clean
     parameters).
+
+    The arrays are taken from ``ws`` (a throwaway workspace when None). What
+    the backward rule reads, and the output, sit under keys prefixed with
+    ``layer``; the other keys hold arrays that are dead when the forward or
+    the backward rule returns, and both layers share them.
     """
+    if ws is None:
+        ws = Workspace()
     x_rows = x.data
     T, B, S, N = pack.T, pack.B, pack.S, pack.N
     H = fwd.W_hr.data.shape[0]
@@ -331,21 +372,26 @@ def bigru_layer(
     # Per-position arrays are (2, N, .), forward direction first, each in its
     # own scan order: C[1] row off[s] + i is the backward scan's step s.
     k, off, boff, masked, ragged = pack.k, pack.off, pack.boff, pack.masked, pack.ragged
-    xp = x_rows @ W_i  # (N, 6H), forward-packed
-    xb = xp[pack.bperm, 3 * H :] if pack.packed else xp[:, 3 * H :]
+    xp = np.matmul(x_rows, W_i, out=ws.take("xp", (N, 6 * H)))  # forward-packed
+    if pack.packed:  # mode="clip" lets np.take write straight into out; the rows are all valid
+        xb = np.take(xp.reshape(2 * N, 3 * H), pack.bhalf, axis=0, mode="clip", out=ws.take("xb", (N, 3 * H)))
+    else:
+        xb = xp[:, 3 * H :]
     # what the backward rule needs is kept only while a tape records
     keep = ad.current_tape() is not None
-    RZ = np.empty((2, N if keep else B, 2 * H))
+    RZ = ws.take(f"{layer}.RZ", (2, N if keep else B, 2 * H))
     if keep:
         # With h' = n + z (h - n) and a_g the pre-activation of gate g:
         # DN = dh'/da_n = (1 - z)(1 - n^2), and COEF holds dh'/d(h W_h + b_h)
         # per gate: [DN hn r (1 - r), (h - n) z (1 - z), DN r], hn = W_hn h + b_hn.
-        DN = np.empty((2, N, H))
-        COEF = np.empty((2, N, 3, H))
-    C = np.empty((2, N, H))  # state after each packed position, h_prev of the next step
-    h0 = np.zeros((2, B, H))
-    n_buf = np.empty((2, B, H))
-    hmn_buf = np.empty((2, B, H))
+        DN = ws.take(f"{layer}.DN", (2, N, H))
+        COEF = ws.take(f"{layer}.COEF", (2, N, 3, H))
+    C = ws.take(f"{layer}.C", (2, N, H))  # state after each packed position, h_prev of the next step
+    h0 = ws.take("h0", (2, B, H))
+    h0.fill(0.0)
+    n_buf = ws.take("n", (2, B, H))
+    hmn_buf = ws.take("h-n", (2, B, H))
+    hp_buf = ws.take("hp", (2, B, 3 * H))
 
     for s in range(S):
         kk, bo = k[s], boff[s]
@@ -355,7 +401,7 @@ def bigru_layer(
         rz = RZ[:, rows] if keep else RZ[:, :kk]
         r, z = rz[..., :H], rz[..., H:]
         n, h_minus_n = n_buf[:, :kk], hmn_buf[:, :kk]
-        hp = np.matmul(h, W_h)
+        hp = np.matmul(h, W_h, out=hp_buf[:, :kk])
         hp += b_h
         np.add(xp[rows, : 2 * H], hp[0, :, : 2 * H], out=rz[0])
         np.add(xb[bo : bo + kk, : 2 * H], hp[1, :, : 2 * H], out=rz[1])
@@ -387,34 +433,37 @@ def bigru_layer(
             c_r *= c_n
             c_r *= hn
 
-    y = Tensor(np.empty((N, 2 * H)))
-    np.multiply(C[0], ~masked[0], out=y.data[:, :H])
+    y = Tensor(ws.take(f"{layer}.y", (N, 2 * H)))
+    y.data[:, :H] = C[0]
     if pack.packed:
-        y.data[pack.bperm, H:] = C[1] * ~masked[1]
+        y.data.reshape(2 * N, H)[pack.bhalf] = C[1]
     else:  # the backward scan's step s is time T - 1 - s
-        y_seq = y.data.reshape(T, B, 2 * H)
-        np.multiply(C[1].reshape(T, B, H)[::-1], ~masked[0].reshape(T, B, 1), out=y_seq[..., H:])
+        y.data.reshape(T, B, 2 * H)[..., H:] = C[1].reshape(T, B, H)[::-1]
+    y.data *= ~masked[0]
 
     def backward():
         g = y.grad
         if g is None:
             return
-        G = np.empty((2, N, H))
+        G = ws.take("G", (2, N, H))
         G[0] = g[:, :H]
         if pack.packed:
-            G[1] = g[pack.bperm, H:]
+            np.take(g.reshape(2 * N, H), pack.bhalf, axis=0, mode="clip", out=G[1])
         else:
             G[1].reshape(T, B, H)[...] = g.reshape(T, B, 2 * H)[::-1, :, H:]
         W_hT = W_h.transpose(0, 2, 1)
-        D_xp = np.empty((N, 6 * H))  # d loss / d (x W_i + b_i), forward-packed
-        D_b = np.empty((N, 3 * H)) if pack.packed else D_xp[:, 3 * H :]  # its backward half, as xb
+        D_xp = ws.take("xp", (N, 6 * H))  # d loss / d (x W_i + b_i), forward-packed
+        D_b = ws.take("xb", (N, 3 * H)) if pack.packed else D_xp[:, 3 * H :]  # its backward half, as xb
         dW_h = np.zeros((2, H, 3 * H))
         db_hn = np.zeros((2, H))
         # d loss / d h from the next step; ranks that end at this step get 0
-        dh = np.zeros((2, B, H))
-        d_new_buf = np.empty((2, B, H))
-        d_hp_buf = np.empty((2, B, 3, H))  # d loss / d (h_prev W_h + b_h), per gate
-        tmp = np.empty((2, B, H))
+        dh = ws.take("dh", (2, B, H))
+        dh.fill(0.0)
+        d_new_buf = ws.take("d_new", (2, B, H))
+        d_hp_buf = ws.take("d_hp", (2, B, 3, H))  # d loss / d (h_prev W_h + b_h), per gate
+        dh_prev_buf = ws.take("dh_prev", (2, B, H))
+        tmp = ws.take("tmp", (2, B, H))
+        dW_h_s = ws.take("dW_h_s", (2, H, 3 * H))
         for s in range(S - 1, -1, -1):
             kk, bo = k[s], boff[s]
             rows = slice(off[s], off[s] + kk)
@@ -425,8 +474,8 @@ def bigru_layer(
             np.multiply(d_new[:, :, None, :], COEF[:, rows], out=d_hp)
             d_hp3 = d_hp.reshape(2, kk, 3 * H)
             if s:  # the first step's h_prev is the zero initial state
-                dW_h += np.matmul(C[:, off[s - 1] : off[s - 1] + kk].transpose(0, 2, 1), d_hp3)
-                dh_prev = np.matmul(d_hp3, W_hT)
+                dW_h += np.matmul(C[:, off[s - 1] : off[s - 1] + kk].transpose(0, 2, 1), d_hp3, out=dW_h_s)
+                dh_prev = np.matmul(d_hp3, W_hT, out=dh_prev_buf[:, :kk])
                 np.multiply(d_new, RZ[:, rows, H:], out=tmp[:, :kk])
                 dh_prev += tmp[:, :kk]
                 if ragged[s]:
@@ -439,12 +488,12 @@ def bigru_layer(
             D_b[bo : bo + kk, : 2 * H] = d_hp3[1, :, : 2 * H]
             np.multiply(d_new[1], DN[1, rows], out=D_b[bo : bo + kk, 2 * H :])
         if pack.packed:
-            D_xp[pack.bperm, 3 * H :] = D_b
+            D_xp.reshape(2 * N, 3 * H)[pack.bhalf] = D_b
 
-        dW_i = x_rows.T @ D_xp
+        dW_i = np.matmul(x_rows.T, D_xp, out=ws.take("dW_i", W_i.shape))
         db_i = D_xp.sum(axis=0)
         if ad.needs_grad(x):
-            ad.accumulate_grad(x, D_xp @ W_i.T)
+            ad.accumulate_grad(x, np.matmul(D_xp, W_i.T, out=ws.take("dX", x_rows.shape)))
         for d, p in enumerate(dirs):
             for j, gate in enumerate("rzn"):
                 cols = slice((3 * d + j) * H, (3 * d + j + 1) * H)
@@ -523,6 +572,7 @@ def forward(
     params: ModelParams,
     spatial_keep: np.ndarray | None = None,
     dense_keep: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Full forward pass over a (B, T) batch.
 
@@ -531,7 +581,9 @@ def forward(
     ``spatial_keep`` (B, d_emb) scales each example's embedding channels at
     every position, ``dense_keep`` (B, d_v) the pooled vector before the
     head. Without them the pass is the eval forward. Both attention layers
-    see the same post-spatial-dropout X that feeds GRU layer 1.
+    see the same post-spatial-dropout X that feeds GRU layer 1. A train loop
+    passes the ``Workspace`` it keeps across steps as ``ws``; without one,
+    each BiGRU layer allocates its arrays afresh.
     """
     mask = np.asarray(mask, dtype=np.float64)
     T = mask.shape[1]
@@ -547,8 +599,8 @@ def forward(
         # the embedding is frozen, so the dropped-out input needs no gradient
         x = Tensor(pack.scale(x.data, spatial_keep))
 
-    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack)
-    h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask, pack)
+    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack, ws, "gru1")
+    h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask, pack, ws, "gru2")
 
     v1, a1 = attention_pool([h1, x], params.attn1, pack)
     v2, a2 = attention_pool([h2, h1, x], params.attn2, pack)

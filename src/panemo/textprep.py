@@ -47,15 +47,19 @@ _ELONGATION_RE = re.compile(r"([a-z])\1{2,}")
 _PUNCT_SPLIT_RE = re.compile(r"[\w<>]+|[^\w\s<>]")
 
 
-def read_text(path, error: type[Exception] = ParseError) -> str:
-    """The text of a UTF-8 file. Bytes that are not UTF-8 raise ``error``
-    naming the file and the line that holds them."""
-    data = Path(path).read_bytes()
+def decode_text(data: bytes, source, error: type[Exception] = ParseError) -> str:
+    """``data`` decoded as UTF-8. Bytes that are not UTF-8 raise ``error``
+    naming ``source`` and the line that holds them."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line} is not UTF-8") from None
+        raise error(f"{source}: line {line} is not UTF-8") from None
+
+
+def read_text(path, error: type[Exception] = ParseError) -> str:
+    """The text of a UTF-8 file; see ``decode_text``."""
+    return decode_text(Path(path).read_bytes(), path, error)
 
 
 def tokenize(text: str) -> list[str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -12,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .model import ModelParams, dropout_mask, forward, predict_scores
+from .model import ModelParams, Workspace, dropout_mask, forward, predict_scores
 from .textprep import Dataset
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
@@ -220,6 +221,11 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
         t.data[...] = snap[name]
 
 
+def _digest(a: np.ndarray) -> bytes:
+    """SHA-256 of an array's bytes; unlike a copy, it holds no memory."""
+    return hashlib.sha256(np.ascontiguousarray(a).data).digest()
+
+
 def _keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray | None:
     """A dropout keep mask, drawn only when the rate is above 0."""
     return dropout_mask(shape, p, rng) if p > 0.0 else None
@@ -249,7 +255,7 @@ def train(
 
     idx, msk, lab = train_set.arrays()
     n = len(train_set)
-    embedding_before = params.embedding.data.copy()
+    embedding_before = _digest(params.embedding.data)
 
     trainable = [t for _, t in params.trainable_parameters()]
     d_emb, d_v = params.config.d_emb, params.config.d_v
@@ -259,14 +265,15 @@ def train(
     spatial_rng = stream_rng(config.seed, STREAM_SPATIAL)
     noise_rng = stream_rng(config.seed, STREAM_NOISE)
 
-    log = TrainingLog()
-    lr = config.lr_init
-    best_snapshot = _snapshot(params)
-    t0 = time.monotonic()
+    def run_epoch(epoch: int, lr: float) -> float:
+        """One shuffled pass of optimizer steps; returns the mean training loss.
 
-    for epoch in range(1, config.max_epochs + 1):
+        The steps share one BiGRU workspace. It is freed when the pass
+        returns, so it does not stay alive through the dev evaluation.
+        """
+        ws = Workspace()
         order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
+        total = 0.0
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             sel = order[start : start + config.batch_size]
             for t in trainable:
@@ -280,6 +287,7 @@ def train(
                     noisy,
                     _keep_mask((len(sel), d_emb), config.spatial_dropout, spatial_rng),
                     _keep_mask((len(sel), d_v), config.dropout_dense, dropout_rng),
+                    ws,
                 )
                 loss = ad.add_scalars(
                     [
@@ -294,9 +302,16 @@ def train(
                 )
             ad.backward(loss, tape)
             adam_step(trainable, state, lr)
-            epoch_loss += loss_val * len(sel)
-        epoch_loss /= n
+            total += loss_val * len(sel)
+        return total / n
 
+    log = TrainingLog()
+    lr = config.lr_init
+    best_snapshot = _snapshot(params)
+    t0 = time.monotonic()
+
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_loss = run_epoch(epoch, lr)
         val_loss = evaluate_loss(dev_set, params, config)
         log.epochs.append(
             EpochRecord(epoch, epoch_loss, val_loss, lr, time.monotonic() - t0)
@@ -311,7 +326,7 @@ def train(
             break
 
     _restore(params, best_snapshot)
-    if not np.array_equal(embedding_before, params.embedding.data):
+    if _digest(params.embedding.data) != embedding_before:
         raise AssertionError("frozen embedding was modified during training")
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:

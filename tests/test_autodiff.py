@@ -183,6 +183,7 @@ class TestBackward:
         with Tape() as tape:
             loss = tensor_sum(p)
         backward(loss, tape)
+        assert len(tape) == 0  # the rules, and what they saved, are released
         with pytest.raises(TapeConsumedError):
             backward(loss, tape)
 

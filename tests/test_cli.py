@@ -1,3 +1,7 @@
+import io
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -71,7 +75,11 @@ def test_train_evaluate_predict_pipeline(workspace, capsys):
     assert all(0.0 < s < 1.0 for s in scores)
 
 
-def test_predict_batch_matches_line_by_line(workspace, capsys):
+def stdin_bytes(monkeypatch, data: bytes):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def test_predict_batch_matches_line_by_line(workspace, capsys, monkeypatch):
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
     capsys.readouterr()
     lines = ["happy happy wow", "", "ugh angry sad meh calm yay happy", "   ", "calm"]
@@ -80,6 +88,9 @@ def test_predict_batch_matches_line_by_line(workspace, capsys):
     ckpt = str(workspace / "best.ckpt")
     assert main(["predict", "--checkpoint", ckpt, "--input", str(tweets)]) == 0
     batched = capsys.readouterr().out
+    stdin_bytes(monkeypatch, tweets.read_bytes())
+    assert main(["predict", "--checkpoint", ckpt]) == 0
+    assert capsys.readouterr().out == batched
     single = []
     for line in (line for line in lines if line.strip()):
         tweets.write_text(line + "\n")
@@ -140,6 +151,7 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("max_epochs=0\n", "", "max_epochs=0"),
         ("log_path=/nonexistent/panemo/log.tsv\n", "", "log_path"),
         ("checkpoint_path=/nonexistent/panemo/best.ckpt\n", "", "checkpoint_path"),
+        ("test_path=/nonexistent/panemo/test.tsv\n", "", "test TSV not found: /nonexistent/panemo/test.tsv"),
     ],
 )
 def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
@@ -150,6 +162,28 @@ def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, messag
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not (workspace / "best.ckpt").exists()
+
+
+def test_train_reports_data_and_test_metrics(workspace, capsys):
+    # the added dev tweet has 7 tokens, 2 of them unseen in training: cut at
+    # max_len=6, 1 of the 7 dev tweets is truncated and 2 of 30 kept tokens are UNK
+    with open(workspace / "dev.tsv", "a") as fh:
+        fh.write("t-9\thappy zzz qqq sad calm wow yay\t" + "\t".join(["1"] * 11) + "\n")
+    with open(workspace / "run.cfg", "a") as fh:
+        fh.write(f"test_path={workspace / 'dev.tsv'}\n")
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "train data: 12 examples, truncation rate 0.000 at max_len=6, UNK rate 0.000",
+        "dev data: 7 examples, truncation rate 0.143 at max_len=6, UNK rate 0.067",
+    ]
+    assert re.fullmatch(r"best epoch \d, validation loss .*", out[2])
+    assert re.fullmatch(rf"test set at best epoch \d: {re.escape(str(workspace / 'dev.tsv'))}", out[3])
+    trained = out[4:]
+    assert [line.split("\t")[0] for line in trained] == ["Jaccard", "Micro", "Macro"]
+    assert main(["evaluate", "--checkpoint", str(workspace / "best.ckpt"), "--data", str(workspace / "dev.tsv")]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == trained
 
 
 def test_header_only_tsv_is_user_error(workspace, capsys):
@@ -195,6 +229,12 @@ TRAIN = ["train", "--config", "{ws}/run.cfg"]
             "tweets.txt: line 2 is not UTF-8",
             id="predict input",
         ),
+        pytest.param(
+            {"<stdin>": "fine\ncaf\udce9 ok\n"},
+            ["predict", "--checkpoint", "{ws}/model.ckpt"],
+            "<stdin>: line 2 is not UTF-8",
+            id="predict stdin",
+        ),
         pytest.param({"dir": None}, ["train", "--config", "{ws}/dir"], "Is a directory: '{ws}/dir'", id="config dir"),
         pytest.param(
             {"dir": None},
@@ -204,14 +244,17 @@ TRAIN = ["train", "--config", "{ws}/run.cfg"]
         ),
     ],
 )
-def test_unreadable_file_is_user_error(workspace, capsys, files, argv, message):
-    """A file that is not UTF-8, or a directory where a file is read, exits 1 naming it."""
+def test_unreadable_file_is_user_error(workspace, capsys, monkeypatch, files, argv, message):
+    """A file or stdin that is not UTF-8, or a directory where a file is read,
+    exits 1 naming it."""
     save_checkpoint(
         build_downsized(seed=0), Vocabulary([f"tok{i}" for i in range(18)]), TrainingConfig(), 0.5,
         workspace / "model.ckpt",
     )
     for name, content in files.items():
-        if content is None:
+        if name == "<stdin>":
+            stdin_bytes(monkeypatch, content.encode("utf-8", "surrogateescape"))
+        elif content is None:
             (workspace / name).mkdir()
         else:  # appended; surrogate escapes are written as the raw bytes they stand for
             with open(workspace / name, "a", encoding="utf-8", errors="surrogateescape") as fh:

@@ -10,6 +10,7 @@ from panemo.model import (
     GruDirectionParams,
     ModelConfig,
     Packing,
+    Workspace,
     attention_pool,
     bigru_layer,
     embed,
@@ -473,6 +474,53 @@ class TestPredictScores:
     def test_row_ends(self):
         msk = np.array([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
         assert row_ends(msk).tolist() == [2, 4, 0, 4]
+
+
+def taped_step(params, idx, msk, ws):
+    """One train-mode forward and backward; (yhat, a1, a2, trainable grads)."""
+    rng = np.random.default_rng(40)
+    keep_x = model.dropout_mask((len(idx), params.config.d_emb), 0.4, rng)
+    keep_v = model.dropout_mask((len(idx), params.config.d_v), 0.2, rng)
+    trainable = params.trainable_parameters()
+    for _, t in trainable:
+        t.zero_grad()
+    with ad.Tape() as tape:
+        yhat, a1, a2 = forward(idx, msk, params, keep_x, keep_v, ws)
+        loss = tensor_sum(yhat)
+    ad.backward(loss, tape)
+    return yhat, a1, a2, {name: t.grad.copy() for name, t in trainable}
+
+
+class TestWorkspace:
+    # the second batch packs fewer rows than the first, the third more
+    LENGTHS = ([7, 5, 3, 6, 2, 7], [4, 7, 1, 6, 3, 2], [7] * 6)
+
+    def batches(self):
+        rng = np.random.default_rng(41)
+        return [ragged_rows(rng, 6, 7, lengths) for lengths in self.LENGTHS]
+
+    def test_steps_reuse_buffers_and_match_fresh_workspaces(self):
+        params = build_downsized(seed=4, T=7)
+        ws = Workspace()
+        shared, addresses = [], []
+        for idx, msk in self.batches():
+            shared.append(taped_step(params, idx, msk, ws)[3])
+            addresses.append({k: b.__array_interface__["data"][0] for k, b in ws._buffers.items()})
+        assert "gru1.COEF" in addresses[0] and "gru2.y" in addresses[0]
+        assert addresses[1] == addresses[0]
+        for (idx, msk), grads in zip(self.batches(), shared):
+            for fresh in (Workspace(), None):
+                expected = taped_step(params, idx, msk, fresh)[3]
+                assert all(np.array_equal(grads[name], g) for name, g in expected.items())
+
+    def test_results_share_no_memory_with_the_workspace(self):
+        params = build_downsized(seed=5, T=7)
+        ws = Workspace()
+        for idx, msk in self.batches():
+            yhat, a1, a2, _ = taped_step(params, idx, msk, ws)
+            results = [yhat.data, a1, a2] + [t.grad for _, t in params.trainable_parameters()]
+            for buf in ws._buffers.values():
+                assert not any(np.shares_memory(buf, r) for r in results)
 
 
 def test_full_model_gradients_vs_finite_differences_small():
