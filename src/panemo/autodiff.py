@@ -219,8 +219,10 @@ def add_const(a: Tensor, c) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function."""
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    """Elementwise logistic function. Below -709, exp(-x) overflows to inf
+    and y is 0, its limit, with no warning."""
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(y)
 
     def bwd():

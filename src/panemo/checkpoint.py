@@ -18,20 +18,14 @@ Two saves of equal content are byte-identical.
 from __future__ import annotations
 
 import ast
-import math
 import struct
 from dataclasses import fields
 
 import numpy as np
 
 from .errors import CheckpointError
-from .model import (
-    AttentionParams,
-    GruDirectionParams,
-    ModelConfig,
-    ModelParams,
-)
-from .autodiff import Tensor
+from .metrics import valid_threshold
+from .model import ModelConfig, ModelParams, param_layout, params_from_arrays
 from .textprep import Vocabulary
 from .training import TrainingConfig
 
@@ -48,15 +42,10 @@ def _positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _unit_number(value) -> bool:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and math.isfinite(value) and 0 <= value <= 1
-
-
 # the allowed values of the config keys that inference reads
 _CONFIG_CHECKS = {
     **dict.fromkeys((*_MODEL_KEYS, "max_len"), (_positive_int, "a positive integer")),
-    "threshold": (_unit_number, "a finite number in [0, 1]"),
+    "threshold": (valid_threshold, "a finite number in [0, 1]"),
 }
 
 
@@ -179,8 +168,19 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: vocabulary has {len(vocab)} tokens but record embedding has shape {embedding.shape}"
         )
-    params = _rebuild_params(tensors, model_config, len(vocab), str(path))
-    return params, vocab, config, best_val_loss
+    arrays = {}
+    for name, shape in param_layout(model_config, len(vocab)).items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing record {name}")
+        values = tensors.pop(name)
+        if values.shape != shape:
+            raise CheckpointError(f"{path}: record {name} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: record {name} has a non-finite value")
+        arrays[name] = values
+    if tensors:
+        raise CheckpointError(f"{path}: unexpected records {sorted(tensors)}")
+    return params_from_arrays(arrays, model_config), vocab, config, best_val_loss
 
 
 def _parse_value(text: str):
@@ -188,62 +188,3 @@ def _parse_value(text: str):
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         return text
-
-
-def _expected_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every record of a model of ``config``."""
-    h = config.hidden
-    shapes = {"embedding": (vocab_size, config.d_emb)}
-    for layer, d_in in (("gru1", config.d_emb), ("gru2", config.d_h)):
-        for direction in ("fwd", "bwd"):
-            for gate in "rzn":
-                prefix = f"{layer}.{direction}"
-                shapes[f"{prefix}.W_i{gate}"] = (d_in, h)
-                shapes[f"{prefix}.W_h{gate}"] = (h, h)
-                shapes[f"{prefix}.b_i{gate}"] = (h,)
-                shapes[f"{prefix}.b_h{gate}"] = (h,)
-    shapes.update({
-        "attn1.w_a": (config.d_u1, 1),
-        "attn1.b": (1,),
-        "attn2.w_a": (config.d_u2, 1),
-        "attn2.b": (1,),
-        "dense.W_d": (config.d_v, config.n_labels),
-        "dense.b_d": (config.n_labels,),
-    })
-    return shapes
-
-
-def _rebuild_params(tensors, config: ModelConfig, vocab_size: int, context: str) -> ModelParams:
-    shapes = _expected_shapes(config, vocab_size)
-
-    def get(name: str, trainable=True) -> Tensor:
-        if name not in tensors:
-            raise CheckpointError(f"{context}: missing record {name}")
-        values = tensors.pop(name)
-        if values.shape != shapes[name]:
-            raise CheckpointError(
-                f"{context}: record {name} has shape {values.shape}, expected {shapes[name]}"
-            )
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"{context}: record {name} has a non-finite value")
-        return Tensor(values, trainable=trainable)
-
-    def gru(prefix: str) -> GruDirectionParams:
-        names = [f.name for f in fields(GruDirectionParams)]
-        return GruDirectionParams(**{n: get(f"{prefix}.{n}") for n in names})
-
-    params = ModelParams(
-        embedding=get("embedding", trainable=False),
-        gru1_fwd=gru("gru1.fwd"),
-        gru1_bwd=gru("gru1.bwd"),
-        gru2_fwd=gru("gru2.fwd"),
-        gru2_bwd=gru("gru2.bwd"),
-        attn1=AttentionParams(w_a=get("attn1.w_a"), b=get("attn1.b")),
-        attn2=AttentionParams(w_a=get("attn2.w_a"), b=get("attn2.b")),
-        W_d=get("dense.W_d"),
-        b_d=get("dense.b_d"),
-        config=config,
-    )
-    if tensors:
-        raise CheckpointError(f"{context}: unexpected records {sorted(tensors)}")
-    return params

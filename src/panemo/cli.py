@@ -11,7 +11,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import metrics, textprep, verify
-from .errors import CheckpointError, ConfigError, ParseError
+from .errors import CheckpointError, ConfigError, ParseError, TrainingDivergedError
 from .model import ModelConfig, init_params, predict_scores
 from .textprep import EMOTIONS
 from .training import TrainingConfig, evaluate_loss, train
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, CheckpointError, OSError) as exc:
+    except (ConfigError, ParseError, CheckpointError, TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

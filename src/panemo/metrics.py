@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -10,10 +11,15 @@ from .errors import ShapeError
 from .textprep import EMOTIONS
 
 
+def valid_threshold(tau) -> bool:
+    """Whether ``tau`` is a decision threshold: a real number in [0, 1]."""
+    return isinstance(tau, Real) and not isinstance(tau, bool) and 0 <= tau <= 1
+
+
 def threshold(scores: np.ndarray, tau: float = 0.5) -> np.ndarray:
     """Binary predictions: 1 iff score strictly greater than tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {tau}")
+    if not valid_threshold(tau):
+        raise ValueError(f"threshold must be in [0, 1], got {tau}")
     return (np.asarray(scores) > tau).astype(np.int64)
 
 
@@ -88,7 +94,7 @@ def f1_scores(pred: np.ndarray, gold: np.ndarray):
     return micro_f1, macro_f1, per_class
 
 
-def compute_report(pred: np.ndarray, gold: np.ndarray, label_names=EMOTIONS) -> MetricsReport:
+def compute_report(pred: np.ndarray, gold: np.ndarray) -> MetricsReport:
     micro, macro, per_class = f1_scores(pred, gold)
     return MetricsReport(
         jaccard=jaccard_accuracy(pred, gold),
@@ -96,15 +102,15 @@ def compute_report(pred: np.ndarray, gold: np.ndarray, label_names=EMOTIONS) -> 
         macro_f1=macro,
         per_class=[
             ClassMetrics(name, p, r, f1, s)
-            for name, (p, r, f1, s) in zip(label_names, per_class)
+            for name, (p, r, f1, s) in zip(EMOTIONS, per_class)
         ],
     )
 
 
-def per_class_report(pred: np.ndarray, gold: np.ndarray, label_names=EMOTIONS) -> str:
+def per_class_report(pred: np.ndarray, gold: np.ndarray) -> str:
     """Aligned plain-text table: emotion, support, precision, recall, F1."""
-    report = compute_report(pred, gold, label_names)
-    width = max(len(n) for n in label_names)
+    report = compute_report(pred, gold)
+    width = max(len(n) for n in EMOTIONS)
     lines = [f"{'emotion':<{width}}  support  precision  recall      f1"]
     for c in report.per_class:
         lines.append(
@@ -112,18 +118,3 @@ def per_class_report(pred: np.ndarray, gold: np.ndarray, label_names=EMOTIONS) -
             f"  {c.recall:6.4f}  {c.f1:6.4f}"
         )
     return "\n".join(lines)
-
-
-def report_tsv(report: MetricsReport) -> str:
-    """Machine-readable block mirroring the plain-text report."""
-    lines = [
-        f"jaccard\t{report.jaccard:.6f}",
-        f"micro_f1\t{report.micro_f1:.6f}",
-        f"macro_f1\t{report.macro_f1:.6f}",
-        "emotion\tsupport\tprecision\trecall\tf1",
-    ]
-    for c in report.per_class:
-        lines.append(
-            f"{c.name}\t{c.support}\t{c.precision:.6f}\t{c.recall:.6f}\t{c.f1:.6f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ dense sigmoid head over 11 emotion classes.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,9 +37,6 @@ class GruDirectionParams:
     b_hz: Tensor
     b_hn: Tensor
 
-    def named(self, prefix: str):
-        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
-
 
 @dataclass
 class AttentionParams:
@@ -46,9 +44,6 @@ class AttentionParams:
 
     w_a: Tensor  # (d_u, 1)
     b: Tensor  # (1,)
-
-    def named(self, prefix: str):
-        return [(f"{prefix}.w_a", self.w_a), (f"{prefix}.b", self.b)]
 
 
 @dataclass
@@ -90,16 +85,16 @@ class ModelParams:
     config: ModelConfig
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Every tensor once, in canonical checkpoint order."""
-        out = [("embedding", self.embedding)]
-        out += self.gru1_fwd.named("gru1.fwd")
-        out += self.gru1_bwd.named("gru1.bwd")
-        out += self.gru2_fwd.named("gru2.fwd")
-        out += self.gru2_bwd.named("gru2.bwd")
-        out += self.attn1.named("attn1")
-        out += self.attn2.named("attn2")
-        out += [("dense.W_d", self.W_d), ("dense.b_d", self.b_d)]
-        return out
+        """Every tensor once, named and ordered as in ``param_layout``: the
+        fields in order, each group's own fields in their order."""
+        tensors = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                tensors.append(value)
+            elif not isinstance(value, ModelConfig):
+                tensors += [getattr(value, g.name) for g in fields(value)]
+        return list(zip(param_layout(self.config, len(self.embedding.data)), tensors, strict=True))
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self.named_parameters() if t.trainable]
@@ -114,46 +109,69 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _init_gru_direction(rng, d_in: int, hidden: int) -> GruDirectionParams:
-    def w(fan_in, fan_out):
-        return Tensor(_glorot(rng, fan_in, fan_out), trainable=True)
+def gru_layout(d_in: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Field -> shape of one GRU direction's tensors, in field order: the
+    input weights W_i* are (d_in, hidden), the hidden weights W_h*
+    (hidden, hidden) and the biases (hidden,)."""
+    weights = {"W_i": (d_in, hidden), "W_h": (hidden, hidden)}
+    return {f.name: weights.get(f.name[:3], (hidden,)) for f in fields(GruDirectionParams)}
 
-    def b():
-        return Tensor(np.zeros(hidden), trainable=True)
 
-    return GruDirectionParams(
-        W_ir=w(d_in, hidden), W_iz=w(d_in, hidden), W_in=w(d_in, hidden),
-        W_hr=w(hidden, hidden), W_hz=w(hidden, hidden), W_hn=w(hidden, hidden),
-        b_ir=b(), b_iz=b(), b_in=b(), b_hr=b(), b_hz=b(), b_hn=b(),
+def param_layout(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of a model over ``vocab_size`` tokens,
+    in checkpoint record order: the embedding, the four GRU directions (each
+    as ``gru_layout``), the two attention scorers and the dense head."""
+    layout = {"embedding": (vocab_size, config.d_emb)}
+    for layer, d_in in (("gru1", config.d_emb), ("gru2", config.d_h)):
+        for direction in ("fwd", "bwd"):
+            for name, shape in gru_layout(d_in, config.hidden).items():
+                layout[f"{layer}.{direction}.{name}"] = shape
+    for layer, d_u in (("attn1", config.d_u1), ("attn2", config.d_u2)):
+        layout[f"{layer}.w_a"], layout[f"{layer}.b"] = (d_u, 1), (1,)
+    layout["dense.W_d"], layout["dense.b_d"] = (config.d_v, config.n_labels), (config.n_labels,)
+    return layout
+
+
+def params_from_arrays(arrays: Mapping[str, np.ndarray], config: ModelConfig) -> ModelParams:
+    """The ModelParams holding ``arrays``, keyed by the names of
+    ``param_layout``. Every tensor is trainable but the frozen embedding."""
+
+    def tensor(name: str) -> Tensor:
+        return Tensor(arrays[name], trainable=name != "embedding")
+
+    def group(cls, prefix: str):
+        return cls(**{f.name: tensor(f"{prefix}.{f.name}") for f in fields(cls)})
+
+    return ModelParams(
+        embedding=tensor("embedding"),
+        gru1_fwd=group(GruDirectionParams, "gru1.fwd"),
+        gru1_bwd=group(GruDirectionParams, "gru1.bwd"),
+        gru2_fwd=group(GruDirectionParams, "gru2.fwd"),
+        gru2_bwd=group(GruDirectionParams, "gru2.bwd"),
+        attn1=group(AttentionParams, "attn1"),
+        attn2=group(AttentionParams, "attn2"),
+        W_d=tensor("dense.W_d"),
+        b_d=tensor("dense.b_d"),
+        config=config,
     )
 
 
 def init_params(embedding: EmbeddingMatrix, config: ModelConfig, seed: int) -> ModelParams:
-    """Glorot-uniform matrices, zero biases, seeded; embedding frozen."""
+    """Glorot-uniform matrices drawn from one seeded stream in
+    ``param_layout`` order, zero biases; embedding frozen."""
     if embedding.dim != config.d_emb:
         raise ShapeError(
             f"embedding dim {embedding.dim} != configured d_emb {config.d_emb}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))  # init stream
-    h = config.hidden
-    return ModelParams(
-        embedding=Tensor(embedding.weights, trainable=False),
-        gru1_fwd=_init_gru_direction(rng, config.d_emb, h),
-        gru1_bwd=_init_gru_direction(rng, config.d_emb, h),
-        gru2_fwd=_init_gru_direction(rng, config.d_h, h),
-        gru2_bwd=_init_gru_direction(rng, config.d_h, h),
-        attn1=AttentionParams(
-            w_a=Tensor(_glorot(rng, config.d_u1, 1), trainable=True),
-            b=Tensor(np.zeros(1), trainable=True),
-        ),
-        attn2=AttentionParams(
-            w_a=Tensor(_glorot(rng, config.d_u2, 1), trainable=True),
-            b=Tensor(np.zeros(1), trainable=True),
-        ),
-        W_d=Tensor(_glorot(rng, config.d_v, config.n_labels), trainable=True),
-        b_d=Tensor(np.zeros(config.n_labels), trainable=True),
-        config=config,
-    )
+
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name == "embedding":
+            return embedding.weights
+        return _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+
+    layout = param_layout(config, len(embedding.weights))
+    return params_from_arrays({name: init(name, shape) for name, shape in layout.items()}, config)
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -233,14 +251,6 @@ class Packing:
         """A (T, B, ...) per-position array as its (N, ...) packed rows."""
         rows = a.reshape(self.T * self.B, *a.shape[2:])
         return rows[self.index] if self.packed else rows
-
-    def unpack(self, rows: np.ndarray) -> np.ndarray:
-        """(N, ...) packed rows as a (T, B, ...) array, zero where nothing is scanned."""
-        if not self.packed:
-            return rows.reshape(self.T, self.B, *rows.shape[1:])
-        out = np.zeros((self.T * self.B, *rows.shape[1:]))
-        out[self.index] = rows
-        return out.reshape(self.T, self.B, *rows.shape[1:])
 
     def to_grid(self, values: np.ndarray) -> np.ndarray:
         """(N,) per-row values as the (B, S) grid of ranks by steps, zero off the rows."""
@@ -393,45 +403,48 @@ def bigru_layer(
     hmn_buf = ws.take("h-n", (2, B, H))
     hp_buf = ws.take("hp", (2, B, 3 * H))
 
-    for s in range(S):
-        kk, bo = k[s], boff[s]
-        rows = slice(off[s], off[s] + kk)
-        h = C[:, off[s - 1] : off[s - 1] + kk] if s else h0[:, :kk]
-        h_next = C[:, rows]
-        rz = RZ[:, rows] if keep else RZ[:, :kk]
-        r, z = rz[..., :H], rz[..., H:]
-        n, h_minus_n = n_buf[:, :kk], hmn_buf[:, :kk]
-        hp = np.matmul(h, W_h, out=hp_buf[:, :kk])
-        hp += b_h
-        np.add(xp[rows, : 2 * H], hp[0, :, : 2 * H], out=rz[0])
-        np.add(xb[bo : bo + kk, : 2 * H], hp[1, :, : 2 * H], out=rz[1])
-        np.negative(rz, out=rz)
-        np.exp(rz, out=rz)
-        rz += 1.0
-        np.reciprocal(rz, out=rz)
-        hn = hp[..., 2 * H :]
-        np.multiply(hn, r, out=n)
-        n += b_in
-        n[0] += xp[rows, 2 * H : 3 * H]
-        n[1] += xb[bo : bo + kk, 2 * H :]
-        np.tanh(n, out=n)
-        np.subtract(h, n, out=h_minus_n)
-        np.multiply(z, h_minus_n, out=h_next)
-        h_next += n
-        if ragged[s]:
-            np.copyto(h_next, h, where=masked[:, rows])
-        if keep:
-            dn, c_r, c_z, c_n = DN[:, rows], COEF[:, rows, 0], COEF[:, rows, 1], COEF[:, rows, 2]
-            np.multiply(n, n, out=dn)
-            np.subtract(1.0, dn, out=dn)
-            np.subtract(1.0, z, out=c_z)
-            dn *= c_z
-            c_z *= z
-            c_z *= h_minus_n
-            np.multiply(dn, r, out=c_n)
-            np.subtract(1.0, r, out=c_r)
-            c_r *= c_n
-            c_r *= hn
+    # A large negative r or z pre-activation overflows exp to inf, and the
+    # gate reads 1 / inf = 0, its limit: the overflow is not an error.
+    with np.errstate(over="ignore"):
+        for s in range(S):
+            kk, bo = k[s], boff[s]
+            rows = slice(off[s], off[s] + kk)
+            h = C[:, off[s - 1] : off[s - 1] + kk] if s else h0[:, :kk]
+            h_next = C[:, rows]
+            rz = RZ[:, rows] if keep else RZ[:, :kk]
+            r, z = rz[..., :H], rz[..., H:]
+            n, h_minus_n = n_buf[:, :kk], hmn_buf[:, :kk]
+            hp = np.matmul(h, W_h, out=hp_buf[:, :kk])
+            hp += b_h
+            np.add(xp[rows, : 2 * H], hp[0, :, : 2 * H], out=rz[0])
+            np.add(xb[bo : bo + kk, : 2 * H], hp[1, :, : 2 * H], out=rz[1])
+            np.negative(rz, out=rz)
+            np.exp(rz, out=rz)
+            rz += 1.0
+            np.reciprocal(rz, out=rz)
+            hn = hp[..., 2 * H :]
+            np.multiply(hn, r, out=n)
+            n += b_in
+            n[0] += xp[rows, 2 * H : 3 * H]
+            n[1] += xb[bo : bo + kk, 2 * H :]
+            np.tanh(n, out=n)
+            np.subtract(h, n, out=h_minus_n)
+            np.multiply(z, h_minus_n, out=h_next)
+            h_next += n
+            if ragged[s]:
+                np.copyto(h_next, h, where=masked[:, rows])
+            if keep:
+                dn, c_r, c_z, c_n = DN[:, rows], COEF[:, rows, 0], COEF[:, rows, 1], COEF[:, rows, 2]
+                np.multiply(n, n, out=dn)
+                np.subtract(1.0, dn, out=dn)
+                np.subtract(1.0, z, out=c_z)
+                dn *= c_z
+                c_z *= z
+                c_z *= h_minus_n
+                np.multiply(dn, r, out=c_n)
+                np.subtract(1.0, r, out=c_r)
+                c_r *= c_n
+                c_r *= hn
 
     y = Tensor(ws.take(f"{layer}.y", (N, 2 * H)))
     y.data[:, :H] = C[0]

@@ -109,12 +109,6 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self._index.get(token, UNK_INDEX)
 
-    def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def __len__(self) -> int:
         return len(self._tokens)
 
@@ -151,7 +145,6 @@ class Example:
 @dataclass
 class Dataset:
     examples: list[Example] = field(default_factory=list)
-    label_names: tuple[str, ...] = EMOTIONS
 
     def __len__(self):
         return len(self.examples)
@@ -174,7 +167,6 @@ class RawDataset:
     ids: list[str]
     token_lists: list[list[str]]
     labels: list[list[int]]
-    label_names: tuple[str, ...] = EMOTIONS
 
     def __len__(self):
         return len(self.ids)
@@ -246,7 +238,7 @@ def encode_dataset(raw: RawDataset, vocab: Vocabulary, max_len: int) -> Dataset:
     for ex_id, toks, labels in zip(raw.ids, raw.token_lists, raw.labels):
         indices, mask = encode(toks, vocab, max_len)
         examples.append(Example(indices=indices, mask=mask, labels=labels, id=ex_id))
-    return Dataset(examples=examples, label_names=raw.label_names)
+    return Dataset(examples=examples)
 
 
 @dataclass

@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .metrics import valid_threshold
 from .model import ModelParams, Workspace, dropout_mask, forward, predict_scores
 from .textprep import Dataset
 
@@ -41,7 +42,7 @@ _FIELD_RANGES = {
     "l2_coeff": (lambda v: v >= 0, ">= 0"),
     "early_stop_patience": (lambda v: v >= 1, ">= 1"),
     "max_epochs": (lambda v: v >= 1, ">= 1"),
-    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "threshold": (valid_threshold, "in [0, 1]"),
     "seed": (lambda v: v >= 0, ">= 0"),
 }
 
@@ -129,6 +130,12 @@ def perturb_hidden_weights(params: ModelParams, sigma: float, rng) -> ModelParam
     return noisy
 
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers mirroring the trainable parameters."""
@@ -136,9 +143,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
@@ -151,14 +155,14 @@ class AdamState:
 def adam_step(params: list[Tensor], state: AdamState, lr: float):
     """One Adam update in place, reading each parameter's grad buffer."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, p in enumerate(params):
         g = p.grad
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
         m_hat = state.m[i] / (1.0 - b1**state.t)
         v_hat = state.v[i] / (1.0 - b2**state.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -298,7 +302,7 @@ def train(
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
+                    f"training diverged: non-finite loss at epoch {epoch}, batch {batch_no}, lr={lr:g}"
                 )
             ad.backward(loss, tape)
             adam_step(trainable, state, lr)

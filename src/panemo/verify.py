@@ -27,6 +27,7 @@ from .model import (
     bigru_layer,
     dropout_mask,
     forward,
+    gru_layout,
     init_params,
 )
 from .textprep import Dataset, Example, NUM_EMOTIONS, random_embeddings
@@ -262,16 +263,26 @@ def _oracle_mask(rng, T: int, B: int) -> np.ndarray:
     return mask
 
 
-def _random_gru(rng, d_in: int, hidden: int) -> GruDirectionParams:
-    def t(*shape):
-        return Tensor(rng.uniform(-0.5, 0.5, shape), trainable=True)
-
+def gru_direction(d_in: int, hidden: int, fill) -> GruDirectionParams:
+    """A trainable GRU direction over ``d_in`` inputs whose tensors are
+    ``fill(shape)``, called in field order."""
     return GruDirectionParams(
-        W_ir=t(d_in, hidden), W_iz=t(d_in, hidden), W_in=t(d_in, hidden),
-        W_hr=t(hidden, hidden), W_hz=t(hidden, hidden), W_hn=t(hidden, hidden),
-        b_ir=t(hidden), b_iz=t(hidden), b_in=t(hidden),
-        b_hr=t(hidden), b_hz=t(hidden), b_hn=t(hidden),
+        **{name: Tensor(fill(shape), trainable=True) for name, shape in gru_layout(d_in, hidden).items()}
     )
+
+
+def random_gru(rng, d_in: int, hidden: int, scale: float = 0.5) -> GruDirectionParams:
+    """A GRU direction with uniform(-scale, scale) entries drawn from ``rng``."""
+    return gru_direction(d_in, hidden, lambda shape: rng.uniform(-scale, scale, shape))
+
+
+def unpack(pack: Packing, rows: np.ndarray) -> np.ndarray:
+    """(N, ...) packed rows of ``pack`` as a (T, B, ...) array, zero where nothing is scanned."""
+    if not pack.packed:
+        return rows.reshape(pack.T, pack.B, *rows.shape[1:])
+    out = np.zeros((pack.T * pack.B, *rows.shape[1:]))
+    out[pack.index] = rows
+    return out.reshape(pack.T, pack.B, *rows.shape[1:])
 
 
 # Masks that drive the packed scan off its common path: rows that must be
@@ -312,7 +323,7 @@ def check_fused_bigru(
     rng = np.random.default_rng(seed)
     if mask is not None:
         B, T = mask.shape
-    dirs = [_random_gru(rng, d_in, hidden) for _ in range(2)]
+    dirs = [random_gru(rng, d_in, hidden) for _ in range(2)]
     if mask is None:
         mask = _oracle_mask(rng, T, B)
     x = rng.uniform(-1, 1, (T, B, d_in)) * mask.T[:, :, None]
@@ -336,7 +347,7 @@ def check_fused_bigru(
                 xs = Tensor(pack.pack(x), trainable=True)
                 out = bigru_layer(xs, fwd, bwd, mask, pack)
                 loss = tensor_sum(ad.mul_const(out, pack.pack(probe)))
-                out = Tensor(pack.unpack(out.data))
+                out = Tensor(unpack(pack, out.data))
             else:
                 xs = [Tensor(x[t], trainable=True) for t in range(T)]
                 outs = reference_bigru_layer(xs, fwd, bwd, mask)
@@ -345,7 +356,7 @@ def check_fused_bigru(
                 )
                 out = Tensor(np.stack([o.data for o in outs]))
         ad.backward(loss, tape)
-        dx = pack.unpack(xs.grad) if fused else np.stack([t.grad for t in xs])
+        dx = unpack(pack, xs.grad) if fused else np.stack([t.grad for t in xs])
         grads = [t.grad.copy() for p in dirs for t in vars(p).values()]
         return [out.data, dx] + grads
 
@@ -388,7 +399,7 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
                 pooled, weights = reference_attention_pool(us, p, mask)
             loss = tensor_sum(ad.mul_const(pooled, probe))
         ad.backward(loss, tape)
-        du = pack.unpack(us[0].grad) if fused else np.stack([t.grad for t in us])[..., :split]
+        du = unpack(pack, us[0].grad) if fused else np.stack([t.grad for t in us])[..., :split]
         return [pooled.data, weights, du, p.w_a.grad.copy()], float(np.abs(p.b.grad).max())
 
     (fused, b_fused), (oracle, b_oracle) = run(True), run(False)

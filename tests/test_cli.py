@@ -1,6 +1,7 @@
 import io
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,7 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("log_path=/nonexistent/panemo/log.tsv\n", "", "log_path"),
         ("checkpoint_path=/nonexistent/panemo/best.ckpt\n", "", "checkpoint_path"),
         ("test_path=/nonexistent/panemo/test.tsv\n", "", "test TSV not found: /nonexistent/panemo/test.tsv"),
+        ("lr_init=1e300\n", "", "training diverged: non-finite loss at epoch 1, batch 1, lr=1e+300"),
     ],
 )
 def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
@@ -163,6 +165,36 @@ def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, messag
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (workspace / "best.ckpt").exists()
+    assert not (workspace / "log.tsv").exists()
+
+
+@pytest.mark.parametrize("tau, labels", [("0", ",".join(EMOTIONS)), ("1", "(none)")], ids=["0", "1"])
+def test_threshold_endpoints_exit_0(workspace, capsys, tau, labels):
+    """threshold=0 and threshold=1 hold for the test-set report after
+    training, for evaluate and for predict alike."""
+    with open(workspace / "run.cfg", "a") as fh:
+        fh.write(f"threshold={tau}\ntest_path={workspace / 'dev.tsv'}\n")
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
+    ckpt = str(workspace / "best.ckpt")
+    assert main(["evaluate", "--checkpoint", ckpt, "--data", str(workspace / "dev.tsv")]) == 0
+    tweets = workspace / "tweets.txt"
+    tweets.write_text("happy wow\n")
+    assert main(["predict", "--checkpoint", ckpt, "--input", str(tweets)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split("\t")[1] == labels and err == ""
+
+
+def test_saturated_sigmoids_warn_nothing(workspace, capsys):
+    """lr_init=1e6 drives gate and head pre-activations far below -709, where
+    exp overflows and the sigmoid reads 0: training and evaluation exit 0
+    with no numpy RuntimeWarning."""
+    with open(workspace / "run.cfg", "a") as fh:
+        fh.write("lr_init=1e6\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
+        assert main(["evaluate", "--checkpoint", str(workspace / "best.ckpt"), "--data", str(workspace / "dev.tsv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_train_reports_data_and_test_metrics(workspace, capsys):

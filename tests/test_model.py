@@ -7,7 +7,6 @@ from panemo import model, verify
 from panemo.errors import EmptySequenceError
 from panemo.model import (
     AttentionParams,
-    GruDirectionParams,
     ModelConfig,
     Packing,
     Workspace,
@@ -20,7 +19,7 @@ from panemo.model import (
     row_ends,
 )
 from panemo.textprep import random_embeddings
-from panemo.verify import build_downsized, gru_cell, tensor_sum
+from panemo.verify import build_downsized, gru_cell, gru_direction, random_gru, tensor_sum, unpack
 
 
 def packed(a, mask):
@@ -30,27 +29,11 @@ def packed(a, mask):
 
 def unpacked(t, mask):
     """The (T, B, d) sequence held by a tensor of packed rows."""
-    return Packing(mask).unpack(t.data)
+    return unpack(Packing(mask), t.data)
 
 
 def zero_gru(d_in, hidden):
-    z = lambda *s: Tensor(np.zeros(s), trainable=True)
-    return GruDirectionParams(
-        W_ir=z(d_in, hidden), W_iz=z(d_in, hidden), W_in=z(d_in, hidden),
-        W_hr=z(hidden, hidden), W_hz=z(hidden, hidden), W_hn=z(hidden, hidden),
-        b_ir=z(hidden), b_iz=z(hidden), b_in=z(hidden),
-        b_hr=z(hidden), b_hz=z(hidden), b_hn=z(hidden),
-    )
-
-
-def random_gru(rng, d_in, hidden, scale=0.5):
-    r = lambda *s: Tensor(rng.uniform(-scale, scale, s), trainable=True)
-    return GruDirectionParams(
-        W_ir=r(d_in, hidden), W_iz=r(d_in, hidden), W_in=r(d_in, hidden),
-        W_hr=r(hidden, hidden), W_hz=r(hidden, hidden), W_hn=r(hidden, hidden),
-        b_ir=r(hidden), b_iz=r(hidden), b_in=r(hidden),
-        b_hr=r(hidden), b_hz=r(hidden), b_hn=r(hidden),
-    )
+    return gru_direction(d_in, hidden, np.zeros)
 
 
 class TestEmbed:
@@ -224,7 +207,7 @@ class TestPacking:
         assert not pack.packed and pack.N == 12 and pack.runs == [(0, 12, 4, 3)]
         seq = np.arange(24.0).reshape(4, 3, 2)
         assert np.shares_memory(pack.pack(seq), seq)  # a reshape, not a gather
-        np.testing.assert_array_equal(pack.unpack(pack.pack(seq)), seq)
+        np.testing.assert_array_equal(unpack(pack, pack.pack(seq)), seq)
 
     @pytest.mark.parametrize("name", sorted(verify.PACKING_MASKS))
     def test_round_trips(self, name):
@@ -235,7 +218,7 @@ class TestPacking:
         pack = Packing(mask)
         assert pack.N == ends.sum() and pack.S == ends.max()
         seq = np.random.default_rng(0).uniform(-1, 1, (T, B, 3))
-        np.testing.assert_array_equal(pack.unpack(pack.pack(seq)), seq * scanned[..., None])
+        np.testing.assert_array_equal(unpack(pack, pack.pack(seq)), seq * scanned[..., None])
         per_row = np.random.default_rng(1).uniform(-1, 1, (B, 3))
         np.testing.assert_array_equal(pack.scale(pack.pack(seq), per_row), pack.pack(seq * per_row))
         values = np.arange(1.0, pack.N + 1)
@@ -375,6 +358,23 @@ class TestForward:
         assert params.attn1.w_a.data.shape == (400, 1)
         assert params.attn2.w_a.data.shape == (500, 1)
         assert params.W_d.data.shape == (900, 11)
+
+    @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig(d_emb=8, hidden=4)])
+    def test_layout_names_every_tensor(self, config):
+        def attribute(params, name):  # "gru1.fwd.W_ir" -> params.gru1_fwd.W_ir, "dense.W_d" -> params.W_d
+            *group, field = name.split(".")
+            return getattr(getattr(params, "_".join(group)) if group not in ([], ["dense"]) else params, field)
+
+        params = init_params(random_embeddings(30, config.d_emb, seed=0), config, seed=0)
+        named = params.named_parameters()
+        assert len(named) == 55
+        assert [(n, t.data.shape) for n, t in named] == list(model.param_layout(config, 30).items())
+        assert all(attribute(params, n) is t for n, t in named)
+        arrays = {n: t.data for n, t in named}
+        rebuilt = model.params_from_arrays(arrays, config)
+        for n, t in named:
+            assert attribute(rebuilt, n).data is arrays[n]
+            assert attribute(rebuilt, n).trainable == t.trainable == (n != "embedding")
 
     def test_init_deterministic(self):
         a = build_downsized(seed=5)

@@ -39,7 +39,7 @@ class TestVocabulary:
 
     def test_build_min_count_2(self):
         vocab = tp.build_vocabulary([["a", "b", "a"]], min_count=2)
-        assert "a" in vocab and "b" not in vocab
+        assert vocab.tokens == [tp.PAD, tp.UNK, "a"]
         assert vocab.index("b") == tp.UNK_INDEX  # unknown falls back to UNK
 
     def test_indices_independent_of_document_boundaries(self):
@@ -47,9 +47,9 @@ class TestVocabulary:
         vocab = tp.build_vocabulary(docs, min_count=1)
         counts = Counter(t for d in docs for t in d)  # brute-force frequency oracle
         for tok in counts:
-            assert tok in vocab
+            assert tok in vocab.tokens
         # first-appearance order across the flattened corpus
-        assert [vocab.token(i) for i in range(2, len(vocab))] == ["x", "y", "z"]
+        assert vocab.tokens[2:] == ["x", "y", "z"]
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestEncode:
         tokens = ["the", "cat", "sat", "on", "the", "mat"]
         vocab = tp.build_vocabulary([tokens])
         indices, mask = tp.encode(tokens, vocab, max_len=4)
-        decoded = [vocab.token(i) for i, m in zip(indices, mask) if m]
+        decoded = [vocab.tokens[i] for i, m in zip(indices, mask) if m]
         assert decoded == tokens[:4]
 
     def test_deterministic(self):

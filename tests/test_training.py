@@ -25,6 +25,7 @@ from panemo.verify import (
     make_synthetic_dataset,
     overfit_harness,
     train_mode_gradcheck,
+    unpack,
 )
 
 
@@ -119,7 +120,7 @@ class TestDropout:
         mask[1, 20:] = 0.0
         pack = Packing(mask)
         rows = np.ones((pack.N, 30))  # packed (positions, d) rows of four examples
-        out = pack.unpack(pack.scale(rows, dropout_mask((4, 30), 0.4, rng)))
+        out = unpack(pack, pack.scale(rows, dropout_mask((4, 30), 0.4, rng)))
         for b, length in enumerate([50, 20, 50, 50]):
             for c in range(30):
                 col = out[:length, b, c]
