@@ -18,6 +18,7 @@ Two saves of equal content are byte-identical.
 from __future__ import annotations
 
 import ast
+import math
 import struct
 from dataclasses import fields
 
@@ -137,7 +138,7 @@ def load_checkpoint(path):
             if dim == 0 or dim > _MAX_DIM:
                 raise CheckpointError(f"{path}: record {name} has invalid dim {dim}")
             dims.append(dim)
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # exact, so an oversized record reads as truncated
         raw = r.take(count * 8, f"values of {name}")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
         if name in tensors:

@@ -155,16 +155,13 @@ def cmd_train(args) -> int:
 
 
 def _load_for_inference(checkpoint_path):
-    params, vocab, config, best_val = ckpt.load_checkpoint(
-        _require_file(checkpoint_path, "checkpoint")
-    )
-    max_len = config.get("max_len", 50)
-    threshold = float(config.get("threshold", 0.5))
-    return params, vocab, max_len, threshold, config, best_val
+    """(params, vocabulary, max_len, threshold) of a checkpoint."""
+    params, vocab, config, _ = ckpt.load_checkpoint(_require_file(checkpoint_path, "checkpoint"))
+    return params, vocab, config.get("max_len", 50), float(config.get("threshold", 0.5))
 
 
 def cmd_evaluate(args) -> int:
-    params, vocab, max_len, tau, config, _ = _load_for_inference(args.checkpoint)
+    params, vocab, max_len, tau = _load_for_inference(args.checkpoint)
     raw = textprep.load_semeval_tsv(_require_file(args.data, "data TSV"))
     dataset = textprep.encode_dataset(raw, vocab, max_len)
     pred, gold = _headline_report(dataset, params, tau)
@@ -174,7 +171,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params, vocab, max_len, tau, _, _ = _load_for_inference(args.checkpoint)
+    params, vocab, max_len, tau = _load_for_inference(args.checkpoint)
     text = (
         textprep.read_text(args.input)
         if args.input

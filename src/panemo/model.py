@@ -181,21 +181,31 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def row_ends(mask: np.ndarray) -> np.ndarray:
-    """Each row's end in a (B, T) 0/1 mask: its last valid position + 1, or 0."""
+    """Each row's valid count in a (B, T) 0/1 mask.
+
+    The mask contract of this module: every row is valid on a prefix
+    [0, end) and padded after it, as ``textprep.encode`` right-pads each
+    tweet. A row with a padded position before a valid one raises ShapeError.
+    """
     valid = np.asarray(mask) > 0
-    return np.where(valid.any(axis=1), valid.shape[1] - valid[:, ::-1].argmax(axis=1), 0)
+    not_prefix = np.flatnonzero((valid[:, 1:] > valid[:, :-1]).any(axis=1))
+    if not_prefix.size:
+        raise ShapeError(
+            f"mask row {not_prefix[0]} is not a prefix: a padded position precedes a valid one"
+        )
+    return np.count_nonzero(valid, axis=1)
 
 
 class Packing:
-    """Step-major layout of the scanned positions of a (B, T) 0/1 mask.
+    """Step-major layout of the valid positions of a (B, T) 0/1 mask.
 
-    A row's end is its last valid position + 1, and no position past it is
-    scanned. Rows are ranked by end, longest first (stable), so scan step s
-    holds the first k[s] ranks. The N = sum(end) scanned positions are kept
-    as N rows of a 2-D array: row off[s] + i is step s of rank i, which is
-    time s of batch row order[i]. The sequence layers pass such (N, d) rows
-    from one to the next, so no position past a row's end is stored or
-    computed on.
+    Each row is valid on a prefix [0, end) and padded after it; a mask of
+    any other shape raises ShapeError (``row_ends``). Rows are ranked by
+    end, longest first (stable), so scan step s holds the first k[s] ranks.
+    The N = sum(end) valid positions are kept as N rows of a 2-D array: row
+    off[s] + i is step s of rank i, which is time s of batch row order[i].
+    The sequence layers pass such (N, d) rows from one to the next, so no
+    padded position is stored or computed on.
 
     When every row ends at T the packing is the identity (``packed`` is
     False): row t * B + b is time t of batch row b, and each conversion
@@ -203,8 +213,7 @@ class Packing:
     """
 
     def __init__(self, mask: np.ndarray):
-        valid = np.asarray(mask).T > 0  # (T, B)
-        T, B = valid.shape
+        B, T = np.shape(mask)
         ends = row_ends(mask)
         order = np.argsort(-ends, kind="stable")
         k = np.count_nonzero(ends[order] > np.arange(ends.max(initial=0))[:, None], axis=1)
@@ -226,16 +235,7 @@ class Packing:
             # halves of the backward scan's rows: a gather or scatter through
             # these indices moves whole contiguous rows and builds no copy.
             self.bhalf = 2 * bperm + 1
-            valid = valid.reshape(T * B)[self.index]
-            bvalid = valid[bperm]
-        else:
-            bvalid = valid[::-1].reshape(N)
-            valid = valid.reshape(N)
-        self.grid_mask = self.to_grid(valid.astype(np.float64))
-        # Masked positions of both scan directions, and the steps holding one:
-        # only those steps carry a state past a position.
-        self.masked = ~np.stack([valid, bvalid])[..., None]
-        self.ragged = np.logical_or.reduceat(self.masked.any(axis=0)[:, 0], off[:S])
+        self.grid_mask = self.to_grid(np.ones(N))
         self.k, self.off = k.tolist(), off.tolist()
         # Runs of steps that hold the same ranks, as (first row, end row,
         # steps, ranks): their rows form a regular (steps, ranks) block.
@@ -346,8 +346,9 @@ def bigru_layer(
         n = tanh(W_in x + b_in + r * (W_hn h + b_hn))   # r gates the affine hidden term
         h' = (1 - z) * n + z * h
 
-    Masked positions emit zeros and leave the carried hidden state
-    unchanged, so batch padding cannot alter the valid prefix.
+    Each row is valid on a prefix [0, end) (``row_ends``). Positions past
+    its end are never scanned and emit zeros (the packed rows hold none of
+    them), so batch padding cannot alter the valid prefix.
 
     Scan step s works on the first k[s] ranks: time s in the forward
     direction and time end - 1 - s in the backward direction, which reads
@@ -381,7 +382,7 @@ def bigru_layer(
 
     # Per-position arrays are (2, N, .), forward direction first, each in its
     # own scan order: C[1] row off[s] + i is the backward scan's step s.
-    k, off, boff, masked, ragged = pack.k, pack.off, pack.boff, pack.masked, pack.ragged
+    k, off, boff = pack.k, pack.off, pack.boff
     xp = np.matmul(x_rows, W_i, out=ws.take("xp", (N, 6 * H)))  # forward-packed
     if pack.packed:  # mode="clip" lets np.take write straight into out; the rows are all valid
         xb = np.take(xp.reshape(2 * N, 3 * H), pack.bhalf, axis=0, mode="clip", out=ws.take("xb", (N, 3 * H)))
@@ -431,8 +432,6 @@ def bigru_layer(
             np.subtract(h, n, out=h_minus_n)
             np.multiply(z, h_minus_n, out=h_next)
             h_next += n
-            if ragged[s]:
-                np.copyto(h_next, h, where=masked[:, rows])
             if keep:
                 dn, c_r, c_z, c_n = DN[:, rows], COEF[:, rows, 0], COEF[:, rows, 1], COEF[:, rows, 2]
                 np.multiply(n, n, out=dn)
@@ -452,7 +451,6 @@ def bigru_layer(
         y.data.reshape(2 * N, H)[pack.bhalf] = C[1]
     else:  # the backward scan's step s is time T - 1 - s
         y.data.reshape(T, B, 2 * H)[..., H:] = C[1].reshape(T, B, H)[::-1]
-    y.data *= ~masked[0]
 
     def backward():
         g = y.grad
@@ -482,8 +480,6 @@ def bigru_layer(
             rows = slice(off[s], off[s] + kk)
             d_new, d_hp, dh_carry = d_new_buf[:, :kk], d_hp_buf[:, :kk], dh[:, :kk]
             np.add(G[:, rows], dh_carry, out=d_new)
-            if ragged[s]:
-                np.copyto(d_new, 0.0, where=masked[:, rows])
             np.multiply(d_new[:, :, None, :], COEF[:, rows], out=d_hp)
             d_hp3 = d_hp.reshape(2, kk, 3 * H)
             if s:  # the first step's h_prev is the zero initial state
@@ -491,8 +487,6 @@ def bigru_layer(
                 dh_prev = np.matmul(d_hp3, W_hT, out=dh_prev_buf[:, :kk])
                 np.multiply(d_new, RZ[:, rows, H:], out=tmp[:, :kk])
                 dh_prev += tmp[:, :kk]
-                if ragged[s]:
-                    np.copyto(dh_prev, dh_carry, where=masked[:, rows])
                 dh_carry[...] = dh_prev
             db_hn += d_hp[:, :, 2].sum(axis=1)
             # the r and z pre-activations take x and h alike; n's x part is unscaled by r
@@ -528,13 +522,13 @@ def attention_pool(us: list[Tensor], p: AttentionParams, pack: Packing) -> tuple
     The sequence u is given as its feature blocks ``us``, each holding the
     (N, d_k) packed rows of ``pack``, the packing of the batch's (B, T) mask,
     with u = concat(us) on the last axis; no concatenated copy is built.
-    Scores e = u . w_a + b are one GEMV per block. The masked softmax runs
-    on the small (B, S) grid of ranks by steps, so a row without a valid
-    position raises EmptySequenceError. The weighted sum, and in the
-    backward rule the gradients of the weights and of u, are computed per
-    run of scan steps that hold the same ranks, on (steps, ranks, d) views
-    of the rows. Returns the pooled (B, d_u) tensor and the (B, T) attention
-    weights for inspection.
+    Scores e = u . w_a + b are one GEMV per block. The softmax over the
+    valid positions runs on the small (B, S) grid of ranks by steps, so a
+    row without a valid position raises EmptySequenceError. The weighted
+    sum, and in the backward rule the gradients of the weights and of u,
+    are computed per run of scan steps that hold the same ranks, on
+    (steps, ranks, d) views of the rows. Returns the pooled (B, d_u) tensor
+    and the (B, T) attention weights for inspection.
     """
     ends = np.cumsum([u.data.shape[1] for u in us]).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
@@ -600,11 +594,10 @@ def forward(
     """
     mask = np.asarray(mask, dtype=np.float64)
     T = mask.shape[1]
-    # Positions past the batch's longest valid length are masked in every
+    # Positions past the batch's longest valid length are padding in every
     # row and never scanned. Trimming them makes a batch whose rows all end
     # at the same position an unpacked one, with no gather.
-    valid = np.flatnonzero(mask.any(axis=0))
-    length = int(valid[-1]) + 1 if valid.size else 1
+    length = max(int(row_ends(mask).max(initial=0)), 1)
     mask = mask[:, :length]
     pack = Packing(mask)
     x = embed(np.asarray(indices)[:, :length], params.embedding, pack)

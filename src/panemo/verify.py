@@ -252,15 +252,10 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _oracle_mask(rng, T: int, B: int) -> np.ndarray:
-    """Ragged prefix masks with a full-length row and a length-1 row; with
-    T >= 3 and B >= 3 the third row also has a masked gap inside it, which a
-    state must be carried across in both directions."""
+    """Ragged prefix masks (each row valid on [0, length), padded after it)
+    with a full-length row, a length-1 row and random lengths in [1, T]."""
     lengths = [T, 1] + [int(n) for n in rng.integers(1, T + 1, size=max(B - 2, 0))]
-    mask = np.array([[1.0] * n + [0.0] * (T - n) for n in lengths[:B]])
-    if T >= 3 and B >= 3:
-        mask[2] = 1.0
-        mask[2, T // 2] = 0.0
-    return mask
+    return np.array([[1.0] * n + [0.0] * (T - n) for n in lengths[:B]])
 
 
 def gru_direction(d_in: int, hidden: int, fill) -> GruDirectionParams:
@@ -285,28 +280,25 @@ def unpack(pack: Packing, rows: np.ndarray) -> np.ndarray:
     return out.reshape(pack.T, pack.B, *rows.shape[1:])
 
 
-# Masks that drive the packed scan off its common path: rows that must be
-# re-ranked, rows that start masked, rows that are never stepped, and batches
-# where every row ends at T (packing is then the identity).
+# Prefix masks that drive the packed scan off its common path: rows that
+# must be re-ranked, rows that are never stepped, and batches where every row
+# ends at T (packing is then the identity).
 PACKING_MASKS = {
     name: np.array([[float(c) for c in row] for row in rows])
     for name, rows in {
         "ascending lengths": ["1000000", "1100000", "1111000", "1111110", "1111111"],
-        "leading masked positions": ["0011100", "1111000", "0000001", "0111111", "1100000"],
         "empty rows": ["1110000", "0000000", "1111111", "1000000", "0000000"],
         "equal lengths": ["1111111"] * 5,
-        "equal ends with gaps": ["0111111", "1111111", "1101101", "0000001", "1111111"],
         "single short row": ["1110000"],
     }.items()
 }
 
 
 def random_ragged_mask(rng, T: int, B: int) -> np.ndarray:
-    """A random (B, T) 0/1 mask with gaps and leading and trailing masked
-    positions; every row has at least one valid position."""
-    mask = (rng.random((B, T)) < rng.uniform(0.2, 0.9)).astype(np.float64)
-    mask[np.arange(B), rng.integers(0, T, B)] = 1.0
-    return mask
+    """A random (B, T) prefix mask: each row valid on [0, length) for a
+    random length in [1, T], padded after it."""
+    lengths = rng.integers(1, T + 1, B)
+    return (np.arange(T) < lengths[:, None]).astype(np.float64)
 
 
 def check_fused_bigru(
@@ -315,8 +307,8 @@ def check_fused_bigru(
     """Worst relative difference between ``model.bigru_layer`` and the per-step
     oracle: the outputs, dX and the gradients of all 24 gate tensors.
 
-    By default the batch has ragged masks (a length-1 row, a row with a masked
-    gap); a given (B, T) ``mask`` replaces them and sets T and B. The hidden
+    By default the batch has the ragged prefix masks of ``_oracle_mask``; a
+    given (B, T) prefix ``mask`` replaces them and sets T and B. The hidden
     weights carry ``add_const`` noise as in a training step, so the gate
     gradients reach the clean weights through the noise op.
     """
@@ -367,9 +359,9 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
     """Worst relative difference between ``model.attention_pool`` and the
     per-position oracle: pooled output, weights, dU and the w_a gradient, on
     the same ragged masks as ``check_fused_bigru`` or on a given (B, T)
-    ``mask`` (every row with a valid position). The fused side gets u as the
-    packed rows of two feature blocks, the second frozen as the embedding
-    block is in the model.
+    prefix ``mask`` (every row with a valid position). The fused side gets u
+    as the packed rows of two feature blocks, the second frozen as the
+    embedding block is in the model.
 
     The true gradient of the bias b is 0 (softmax shift invariance) and both
     sides give rounding noise there, so it counts in absolute terms.
@@ -540,7 +532,7 @@ def check_padding_invariance(params: ModelParams, n_trials: int = 50, seed: int 
     """Max |Δŷ| from appending 3 PAD tokens, eval mode.
 
     The padded row shares its batch with a row 3 tokens longer, so its PAD
-    positions are scanned as masked steps rather than trimmed away.
+    positions are packed out of the scan rather than trimmed away.
     """
     rng = np.random.default_rng(seed)
     vocab_size = params.embedding.data.shape[0]

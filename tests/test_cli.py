@@ -1,5 +1,6 @@
 import io
 import re
+import struct
 import sys
 import warnings
 
@@ -330,6 +331,12 @@ def _short_vocabulary(params, tokens, extra):
     tokens.pop()
 
 
+def _record_dims(name: bytes, old: tuple, new: tuple):
+    """The bytes replacement that changes a record's dims from old to new."""
+    head = name + struct.pack("<I", len(old))
+    return head + struct.pack(f"<{len(old)}Q", *old), head + struct.pack(f"<{len(new)}Q", *new)
+
+
 def _max_len(value):
     def edit(params, tokens, extra):
         extra["max_len"] = value
@@ -349,6 +356,14 @@ def _max_len(value):
             None, (b"hidden=4", b"hidden=5"), "record gru1.fwd.W_ir has shape (8, 4)", id="config shape"
         ),
         pytest.param(_short_vocabulary, None, "vocabulary has 19 tokens", id="vocabulary size"),
+        pytest.param(
+            None, _record_dims(b"attn2.w_a", (24, 1), (2**32, 2**32)), "truncated while reading values of attn2.w_a",
+            id="record of 2^64 values",
+        ),
+        pytest.param(
+            None, _record_dims(b"attn2.w_a", (24, 1), (2**32, 2**31)), "truncated while reading values of attn2.w_a",
+            id="record of 2^63 values",
+        ),
         pytest.param(_non_finite, None, "record dense.W_d has a non-finite value", id="non-finite value"),
         pytest.param(None, (b"tok17", b"tok\xff7"), "vocabulary is not UTF-8", id="non-UTF-8 vocabulary"),
         pytest.param(_max_len("abc"), None, "max_len='abc' is not a positive integer", id="max_len not a number"),
@@ -381,3 +396,64 @@ def test_bad_checkpoint_record_is_user_error(tmp_path, capsys, edit, replace, me
     assert main(["evaluate", "--checkpoint", str(path), "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and message in err
+
+
+
+def mutants(data: bytes, n: int, seed: int):
+    """n seeded mutants of ``data``: the even ones cut at a random length, the
+    odd ones with 1 to 3 bytes overwritten by random values."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        if i % 2 == 0:
+            yield data[: int(rng.integers(0, len(data)))]
+        else:
+            out = bytearray(data)
+            for pos in rng.integers(0, len(data), int(rng.integers(1, 4))):
+                out[pos] = int(rng.integers(0, 256))
+            yield bytes(out)
+
+
+# Run from the test's directory; the run config's mutants keep its output
+# paths, so no run writes outside that directory.
+RUN_INPUTS = (
+    b"train_path=train.tsv\ndev_path=dev.tsv\nembeddings_path=vectors.txt\n"
+    b"d_emb=8\nhidden=4\nmax_len=6\nbatch_size=4\nmax_epochs=2\nseed=3\n"
+)
+RUN_OUTPUTS = b"\ncheckpoint_path=best.ckpt\nlog_path=log.tsv\n"
+RUN = ["train", "--config", "run.cfg"]
+EVALUATE = ["evaluate", "--checkpoint", "best.ckpt", "--data", "dev.tsv"]
+PREDICT = ["predict", "--checkpoint", "best.ckpt", "--input", "tweets.txt"]
+
+
+@pytest.mark.parametrize(
+    "target, n, commands",
+    [
+        pytest.param("best.ckpt", 200, [EVALUATE, PREDICT], id="checkpoint"),
+        pytest.param("run.cfg", 60, [RUN], id="run config"),
+        pytest.param("train.tsv", 60, [RUN], id="train TSV"),
+        pytest.param("dev.tsv", 60, [RUN, EVALUATE], id="dev TSV"),
+        pytest.param("vectors.txt", 60, [RUN], id="embeddings"),
+        pytest.param("tweets.txt", 60, [PREDICT], id="predict input"),
+    ],
+)
+def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, commands):
+    """Seeded truncations and byte overwrites of each file the CLI reads: every
+    run exits 0, or 1 with a single error: line."""
+    monkeypatch.chdir(workspace)
+    vectors = "".join(word + f" {0.1 * i:.2f}" * 8 + "\n" for i, word in enumerate(WORDS))
+    (workspace / "vectors.txt").write_text(vectors)
+    (workspace / "tweets.txt").write_text("happy wow\nugh sad meh\n#yay @calm http://x.y\n")
+    (workspace / "run.cfg").write_bytes(RUN_INPUTS + RUN_OUTPUTS)
+    assert main(RUN) == 0
+
+    path = workspace / target
+    data = RUN_INPUTS if target == "run.cfg" else path.read_bytes()
+    for i, mutant in enumerate(mutants(data, n, seed=0)):
+        path.write_bytes(mutant + RUN_OUTPUTS if target == "run.cfg" else mutant)
+        for argv in commands:
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1), f"mutant {i} of {target}, {argv[0]}: {err}"
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, f"mutant {i} of {target}: {err}"

@@ -4,7 +4,7 @@ import pytest
 from panemo import autodiff as ad
 from panemo.autodiff import Tensor
 from panemo import model, verify
-from panemo.errors import EmptySequenceError
+from panemo.errors import EmptySequenceError, ShapeError
 from panemo.model import (
     AttentionParams,
     ModelConfig,
@@ -30,6 +30,16 @@ def packed(a, mask):
 def unpacked(t, mask):
     """The (T, B, d) sequence held by a tensor of packed rows."""
     return unpack(Packing(mask), t.data)
+
+
+# Masks outside the prefix contract of model.row_ends, each first broken in row 2.
+NON_PREFIX_MASKS = {
+    name: np.array([[float(c) for c in row] for row in rows])
+    for name, rows in {
+        "leading masked positions": ["1111000", "1100000", "0011100", "0000001", "0111111"],
+        "equal ends with gaps": ["1111111", "1111111", "1101101", "0111111", "0000001"],
+    }.items()
+}
 
 
 def zero_gru(d_in, hidden):
@@ -154,12 +164,12 @@ class TestFusedOracle:
 
     @pytest.mark.parametrize("T, B", [(1, 2), (7, 1)])
     def test_bigru_without_masked_steps(self, T, B):
-        # a single step, and a single full-length row: no step keeps a state
+        # a single step, and a single full-length row: the identity packing
         assert verify.check_fused_bigru(seed=3, T=T, B=B) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(verify.PACKING_MASKS))
     def test_bigru_packing_layouts(self, name):
-        # re-ranked rows, leading masked steps, empty rows, unpacked batches, B = 1
+        # re-ranked rows, empty rows, unpacked batches, B = 1
         for seed in range(3):
             assert verify.check_fused_bigru(seed=seed, mask=verify.PACKING_MASKS[name]) <= 1e-12
 
@@ -202,7 +212,6 @@ class TestFusedOracle:
 class TestPacking:
     def test_identity_when_every_row_ends_at_t(self):
         mask = np.ones((3, 4))
-        mask[1, 2] = 0.0  # a gap does not move the row's end
         pack = Packing(mask)
         assert not pack.packed and pack.N == 12 and pack.runs == [(0, 12, 4, 3)]
         seq = np.arange(24.0).reshape(4, 3, 2)
@@ -213,7 +222,7 @@ class TestPacking:
     def test_round_trips(self, name):
         mask = verify.PACKING_MASKS[name]
         B, T = mask.shape
-        ends = np.where(mask.any(axis=1), T - np.argmax(mask[:, ::-1] > 0, axis=1), 0)
+        ends = mask.sum(axis=1).astype(int)
         scanned = np.arange(T)[:, None] < ends  # (T, B)
         pack = Packing(mask)
         assert pack.N == ends.sum() and pack.S == ends.max()
@@ -226,6 +235,16 @@ class TestPacking:
         assert pack.grid_mask.sum() == mask.sum()
         assert [r[0] for r in pack.runs] == [0] + [r[1] for r in pack.runs[:-1]]
         assert sum(steps * kk for _, _, steps, kk in pack.runs) == pack.N
+
+    @pytest.mark.parametrize("name", sorted(NON_PREFIX_MASKS))
+    def test_non_prefix_mask_raises(self, name):
+        mask = NON_PREFIX_MASKS[name]
+        params = build_downsized(seed=0)
+        idx = 2 * mask.astype(np.int64)
+        calls = [row_ends, Packing, lambda m: forward(idx, m, params), lambda m: predict_scores(idx, m, params)]
+        for call in calls:
+            with pytest.raises(ShapeError, match="mask row 2 is not a prefix"):
+                call(mask)
 
 
 class TestAttentionPool:
@@ -472,8 +491,8 @@ class TestPredictScores:
         assert out.shape == (0, 11)
 
     def test_row_ends(self):
-        msk = np.array([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
-        assert row_ends(msk).tolist() == [2, 4, 0, 4]
+        msk = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]])
+        assert row_ends(msk).tolist() == [2, 1, 0, 4]
 
 
 def taped_step(params, idx, msk, ws):
