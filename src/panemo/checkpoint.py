@@ -94,11 +94,11 @@ def save_checkpoint(
 
 class _Reader:
     def __init__(self, data: bytes, context: str):
-        self.data = data
+        self.data = memoryview(data)  # slices are views; a record's values are copied once, by astype
         self.pos = 0
         self.context = context
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError(f"{self.context}: truncated while reading {what}")
         chunk = self.data[self.pos : self.pos + n]
@@ -113,7 +113,7 @@ class _Reader:
 
     def text(self, n: int, what: str) -> str:
         try:
-            return self.take(n, what).decode("utf-8")
+            return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{self.context}: {what} is not UTF-8") from None
 

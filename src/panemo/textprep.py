@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ _NUMBER_RE = re.compile(r"^[+-]?\d+([.,]\d+)*$")
 _ELONGATION_RE = re.compile(r"([a-z])\1{2,}")
 # split off runs of punctuation from word characters
 _PUNCT_SPLIT_RE = re.compile(r"[\w<>]+|[^\w\s<>]")
+_BINARY = frozenset(("0", "1"))  # the label values
 
 
 def decode_text(data: bytes, source, error: type[Exception] = ParseError) -> str:
@@ -69,25 +71,27 @@ def tokenize(text: str) -> list[str]:
     "#tag" -> "<hashtag>" followed by "tag"; characters repeated three or
     more times collapsed to two; numeric literals -> "<number>"; punctuation
     split into single-character tokens; otherwise whitespace-delimited.
+    ``verify.reference_tokenize`` is the plain form of these rules.
     """
     text = text.lower()
-    text = _URL_RE.sub(" <url> ", text)
-    text = _MENTION_RE.sub(" <user> ", text)
-    text = _HASHTAG_RE.sub(r" <hashtag> \1 ", text)
+    # each substitution only where its pattern can match
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" <url> ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" <user> ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(r" <hashtag> \1 ", text)
     text = _ELONGATION_RE.sub(r"\1\1", text)
 
     tokens = []
     for piece in text.split():
-        if _NUMBER_RE.match(piece):
+        if piece.isalpha():  # letters are word characters and never a number or placeholder
+            tokens.append(piece)
+        elif _NUMBER_RE.match(piece):
             tokens.append("<number>")
-            continue
-        for tok in _PUNCT_SPLIT_RE.findall(piece):
-            if tok in ("<url>", "<user>", "<hashtag>", "<number>"):
-                tokens.append(tok)
-            elif _NUMBER_RE.match(tok):
-                tokens.append("<number>")
-            else:
-                tokens.append(tok)
+        else:
+            for tok in _PUNCT_SPLIT_RE.findall(piece):  # a placeholder never matches the number pattern
+                tokens.append("<number>" if _NUMBER_RE.match(tok) else tok)
     return tokens
 
 
@@ -95,16 +99,9 @@ class Vocabulary:
     """token <-> index map with reserved PAD (0) and UNK (1) entries."""
 
     def __init__(self, tokens: list[str] | None = None):
-        self._index = {PAD: PAD_INDEX, UNK: UNK_INDEX}
-        self._tokens = [PAD, UNK]
-        for t in tokens or []:
-            self.add(t)
-
-    def add(self, token: str) -> int:
-        if token not in self._index:
-            self._index[token] = len(self._tokens)
-            self._tokens.append(token)
-        return self._index[token]
+        # the first appearance of a token sets its index; PAD and UNK keep 0 and 1
+        self._tokens = list(dict.fromkeys([PAD, UNK, *(tokens or ())]))
+        self._index = dict(zip(self._tokens, range(len(self._tokens))))
 
     def index(self, token: str) -> int:
         return self._index.get(token, UNK_INDEX)
@@ -123,13 +120,8 @@ def build_vocabulary(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
         raise ValueError("min_count must be >= 1")
     if not corpus:
         raise ValueError("empty corpus")
-    counts = Counter(tok for doc in corpus for tok in doc)
-    vocab = Vocabulary()
-    for doc in corpus:
-        for tok in doc:
-            if counts[tok] >= min_count:
-                vocab.add(tok)
-    return vocab
+    counts = Counter(chain.from_iterable(corpus))  # keys in first-appearance order
+    return Vocabulary([tok for tok, count in counts.items() if count >= min_count])
 
 
 @dataclass
@@ -201,13 +193,11 @@ def load_semeval_tsv(path) -> RawDataset:
             raise ParseError(
                 f"{path}: row {rownum} has {len(cols)} columns, expected {len(expected)}"
             )
-        row_labels = []
-        for name, val in zip(EMOTIONS, cols[2:]):
-            if val not in ("0", "1"):
-                raise ParseError(
-                    f"{path}: row {rownum} has non-binary label {val!r} for {name}"
-                )
-            row_labels.append(int(val))
+        values = cols[2:]
+        if not _BINARY.issuperset(values):
+            name, val = next((n, v) for n, v in zip(EMOTIONS, values) if v not in _BINARY)
+            raise ParseError(f"{path}: row {rownum} has non-binary label {val!r} for {name}")
+        row_labels = list(map(int, values))
         tokens = tokenize(cols[1])
         if not tokens:
             raise ParseError(f"{path}: row {rownum} has an empty tweet")
@@ -227,7 +217,8 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> tuple[list[int
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     kept = tokens[:max_len]
-    indices = [vocab.index(t) for t in kept]
+    lookup = vocab._index.get
+    indices = [lookup(t, UNK_INDEX) for t in kept]
     mask = [1] * len(kept)
     pad = max_len - len(kept)
     return indices + [PAD_INDEX] * pad, mask + [0] * pad
@@ -295,22 +286,22 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
     # vocabulary row, source line and value text of every line to copy
     rows, lines, texts = [], [], []
 
+    lookup = vocab._index.get
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                word, sep, text = line.rstrip("\n").partition(" ")
-                if not sep:
+                n_values = line.count(" ")  # one space before each value
+                if not n_values:
                     continue
-                if text.count(" ") + 1 != d_emb:
+                if n_values != d_emb:
                     _parse_vectors(path, texts, lines, d_emb)  # an earlier non-numeric line comes first
-                    raise ParseError(
-                        f"{path}: line {lineno} has {text.count(' ') + 1} values, expected {d_emb}"
-                    )
-                idx = vocab.index(word)
+                    raise ParseError(f"{path}: line {lineno} has {n_values} values, expected {d_emb}")
+                cut = line.index(" ")
+                idx = lookup(line[:cut], UNK_INDEX)
                 if idx not in (PAD_INDEX, UNK_INDEX):
                     rows.append(idx)
                     lines.append(lineno)
-                    texts.append(text)
+                    texts.append(line[cut + 1 :].rstrip("\n"))
     except UnicodeDecodeError:
         read_text(path)  # the streamed read cannot place the bad bytes; this raises naming their line
         raise

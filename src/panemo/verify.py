@@ -3,13 +3,15 @@ mode), invariant suites, reference oracles, and a synthetic overfit dataset.
 
 The oracles here are deliberately independent of the fast implementations
 they check: the metric oracles are plain Python loops over individual cells,
-and the sequence-layer oracles build the GRU and attention pooling from
-per-step, per-gate tape ops.
+the sequence-layer oracles build the GRU and attention pooling from
+per-step, per-gate tape ops, and the tokenizer oracle applies every rule's
+regex to every text and piece.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import numpy as np
 
@@ -30,7 +32,19 @@ from .model import (
     gru_layout,
     init_params,
 )
-from .textprep import Dataset, Example, NUM_EMOTIONS, random_embeddings
+from .textprep import (
+    _ELONGATION_RE,
+    _HASHTAG_RE,
+    _MENTION_RE,
+    _NUMBER_RE,
+    _PUNCT_SPLIT_RE,
+    _URL_RE,
+    Dataset,
+    Example,
+    NUM_EMOTIONS,
+    random_embeddings,
+    tokenize,
+)
 from .training import (
     TrainingConfig,
     l2_penalty,
@@ -400,6 +414,85 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
 
 
 # ---------------------------------------------------------------------------
+# tokenizer oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """``textprep.tokenize`` without its shortcuts: every substitution runs on
+    every text, and every whitespace piece goes through the number and
+    punctuation regexes."""
+    text = text.lower()
+    text = _URL_RE.sub(" <url> ", text)
+    text = _MENTION_RE.sub(" <user> ", text)
+    text = _HASHTAG_RE.sub(r" <hashtag> \1 ", text)
+    text = _ELONGATION_RE.sub(r"\1\1", text)
+
+    tokens = []
+    for piece in text.split():
+        if _NUMBER_RE.match(piece):
+            tokens.append("<number>")
+            continue
+        for tok in _PUNCT_SPLIT_RE.findall(piece):
+            if tok in ("<url>", "<user>", "<hashtag>", "<number>"):
+                tokens.append(tok)
+            elif _NUMBER_RE.match(tok):
+                tokens.append("<number>")
+            else:
+                tokens.append(tok)
+    return tokens
+
+
+# Fragments that reach the tokenizer's edge cases: URL, mention and hashtag
+# triggers in both cases and without their pattern, numerals, typed
+# placeholders, and non-ASCII letters and digits whose case mapping or
+# character class differs from ASCII (titlecase, dotted I, sharp s,
+# ligatures, Arabic-Indic and superscript digits, fullwidth forms, final
+# sigma, the Kelvin sign).
+_FUZZ_FRAGMENTS = (
+    "http://t.co/AbC1", "HTTPS://Ex.com/a?b=1", "http:/", "httpx", "Www.Site.org", "WWW.", "wwwx.",
+    "#", "##", "#_", "@", "a@b", "@_", "1,000.5", "+3", "-2", "12abc", "3.", ".5", "1..2", "1_000",
+    "007", "_", "x_y", "<url>", "<<url>>", "<user>", "<hashtag>", "<number>", "<3", "<", ">",
+    "ǅ", "İ", "ß", "ﬁ", "١٢٣", "²", "ＡＢＣ", "ｗｗｗ．", "café", "ΣΑΣ", "\u212a", "Ǉ",
+)
+_FUZZ_PUNCT = "!?.,;:'\"()-*&%$^~`|/\\[]{}=+#@<>"
+_FUZZ_SEPARATORS = (" ", " ", " ", "", "  ", "\t", "\n", "\u200b", "\x1c")
+_FUZZ_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def random_tweet_text(rng: random.Random) -> str:
+    """A random tweet-like text: ASCII words (some elongated), punctuation
+    runs, numbers and the fragments above, with optional "#", "@", "www." or
+    "http://" prefixes, joined by spaces, tabs, newlines, zero-width spaces
+    and \\x1c separators."""
+    parts = []
+    for _ in range(rng.randrange(12)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            part = "".join(rng.choices(_FUZZ_LETTERS, k=rng.randint(1, 8)))
+        elif kind == 1:  # elongation, possibly mixed case
+            part = rng.choice(_FUZZ_LETTERS) * rng.randint(2, 6) + rng.choice(("", "w", "!", "Y"))
+        elif kind == 2:
+            part = "".join(rng.choices(_FUZZ_PUNCT, k=rng.randint(1, 4)))
+        elif kind == 3:
+            part = str(rng.randint(-50, 5000)) + rng.choice(("", ".5", ",000", "abc", "%"))
+        else:
+            part = rng.choice(_FUZZ_FRAGMENTS)
+        if rng.random() < 0.15:
+            part = rng.choice(("#", "@", "www.", "http://", "HTTP://")) + part
+        parts.append(part)
+        parts.append(rng.choice(_FUZZ_SEPARATORS))
+    return "".join(parts)
+
+
+def check_tokenizer_oracle(n_trials: int = 5000, seed: int = 0) -> float:
+    """Share of generated texts on which ``tokenize`` and ``reference_tokenize`` differ."""
+    rng = random.Random(seed)
+    texts = [random_tweet_text(rng) for _ in range(n_trials)]
+    return sum(tokenize(text) != reference_tokenize(text) for text in texts) / n_trials
+
+
+# ---------------------------------------------------------------------------
 # synthetic keyword dataset (overfit oracle)
 # ---------------------------------------------------------------------------
 
@@ -600,6 +693,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         ("fused BiGRU vs per-step oracle", bigru, 1e-12),
         ("fused attention vs per-position oracle", max(map(check_fused_attention, oracle_seeds)), 1e-12),
         ("packed attention vs per-position oracle", packed_attention, 1e-12),
+        ("tokenizer vs reference oracle", check_tokenizer_oracle(1000 if quick else 5000, seed), 1e-12),
     ]:
         results.append((name, worst, tol, worst < tol))
     return results

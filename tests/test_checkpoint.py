@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from panemo.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from panemo.cli import main
 from panemo.errors import CheckpointError
 from panemo.textprep import build_vocabulary
 from panemo.training import TrainingConfig
@@ -78,3 +81,34 @@ def test_missing_record_named(setup):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="embedding"):
         load_checkpoint(path)
+
+
+def test_loaded_parameters_are_separate_aligned_arrays(setup):
+    """Each record is copied into its own array: a read-only or unaligned view
+    of the file would push matmul off BLAS, and a shared buffer would alias
+    two parameters."""
+    params, vocab, config, path = setup
+    save_checkpoint(params, vocab, config, 0.5, path)
+    arrays = [t.data for _, t in load_checkpoint(path)[0].named_parameters()]
+    for a in arrays:
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+def test_truncated_or_oversized_record_exits_1(setup, capsys):
+    params, vocab, config, path = setup
+    save_checkpoint(params, vocab, config, 0.5, path, extra_config={"max_len": 5})
+    data = path.read_bytes()
+    name = b"dense.b_d"
+    head = name + struct.pack("<IQ", 1, params.b_d.data.size)
+    values_at = data.index(head) + len(head)
+    for mutant in (
+        data[: values_at + 12],  # cut inside the record's values
+        data.replace(head, name + struct.pack("<IQ", 1, 10**6)),  # dims past the end of the file
+    ):
+        path.write_bytes(mutant)
+        assert main(["evaluate", "--checkpoint", str(path), "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: truncated while reading values of dense.b_d\n"

@@ -3,6 +3,7 @@ import re
 import struct
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_gradcheck_train_mode(capsys):
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
 
 
 EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
@@ -399,18 +400,53 @@ def test_bad_checkpoint_record_is_user_error(tmp_path, capsys, edit, replace, me
 
 
 
-def mutants(data: bytes, n: int, seed: int):
+# bytes that keep a mutated field close to a value: digits, signs, number
+# characters, separators and one byte that is not UTF-8
+FIELD_BYTES = b"0123456789-+.eEjx =\t\n\xff"
+
+
+def mutants(data: bytes, n: int, seed: int, spans=None):
     """n seeded mutants of ``data``: the even ones cut at a random length, the
-    odd ones with 1 to 3 bytes overwritten by random values."""
+    odd ones with 1 to 3 bytes overwritten by random values. Given ``spans``,
+    (start, end) byte ranges, the cuts and overwrites fall inside them and the
+    new bytes come from FIELD_BYTES."""
     rng = np.random.default_rng(seed)
+    positions = np.arange(len(data)) if spans is None else np.concatenate([np.arange(*s) for s in spans])
+    values = bytes(range(256)) if spans is None else FIELD_BYTES
     for i in range(n):
         if i % 2 == 0:
-            yield data[: int(rng.integers(0, len(data)))]
+            yield data[: int(positions[rng.integers(0, len(positions))])]
         else:
             out = bytearray(data)
-            for pos in rng.integers(0, len(data), int(rng.integers(1, 4))):
-                out[pos] = int(rng.integers(0, 256))
+            for pos in positions[rng.integers(0, len(positions), int(rng.integers(1, 4)))]:
+                out[pos] = values[int(rng.integers(0, len(values)))]
             yield bytes(out)
+
+
+def label_spans(tsv: bytes):
+    """The label columns of each data row, with the tab before them."""
+    spans, start = [], tsv.index(b"\n") + 1
+    for row in tsv[start:].split(b"\n"):
+        if row:
+            spans.append((start + row.index(b"\t", row.index(b"\t") + 1), start + len(row)))
+        start += len(row) + 1
+    return spans
+
+
+def value_spans(config: bytes):
+    """The value of each key=value line."""
+    spans, start = [], 0
+    for line in config.split(b"\n"):
+        key, _, value = line.partition(b"=")
+        if value:
+            spans.append((start + len(key) + 1, start + len(line)))
+        start += len(line) + 1
+    return spans
+
+
+def config_block_span(ckpt: bytes):
+    """The checkpoint's config block: from its first key to the trailing best loss."""
+    return [(ckpt.index(f"{fields(TrainingConfig)[0].name}=".encode()), len(ckpt) - 8)]
 
 
 # Run from the test's directory; the run config's mutants keep its output
@@ -426,19 +462,24 @@ PREDICT = ["predict", "--checkpoint", "best.ckpt", "--input", "tweets.txt"]
 
 
 @pytest.mark.parametrize(
-    "target, n, commands",
+    "target, n, commands, spans",
     [
-        pytest.param("best.ckpt", 200, [EVALUATE, PREDICT], id="checkpoint"),
-        pytest.param("run.cfg", 60, [RUN], id="run config"),
-        pytest.param("train.tsv", 60, [RUN], id="train TSV"),
-        pytest.param("dev.tsv", 60, [RUN, EVALUATE], id="dev TSV"),
-        pytest.param("vectors.txt", 60, [RUN], id="embeddings"),
-        pytest.param("tweets.txt", 60, [PREDICT], id="predict input"),
+        pytest.param("best.ckpt", 200, [EVALUATE, PREDICT], None, id="checkpoint"),
+        pytest.param("run.cfg", 60, [RUN], None, id="run config"),
+        pytest.param("train.tsv", 60, [RUN], None, id="train TSV"),
+        pytest.param("dev.tsv", 60, [RUN, EVALUATE], None, id="dev TSV"),
+        pytest.param("vectors.txt", 60, [RUN], None, id="embeddings"),
+        pytest.param("tweets.txt", 60, [PREDICT], None, id="predict input"),
+        pytest.param("train.tsv", 60, [RUN], label_spans, id="train TSV labels"),
+        pytest.param("dev.tsv", 60, [RUN, EVALUATE], label_spans, id="dev TSV labels"),
+        pytest.param("run.cfg", 60, [RUN], value_spans, id="run config values"),
+        pytest.param("best.ckpt", 100, [EVALUATE, PREDICT], config_block_span, id="checkpoint config block"),
     ],
 )
-def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, commands):
-    """Seeded truncations and byte overwrites of each file the CLI reads: every
-    run exits 0, or 1 with a single error: line."""
+def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, commands, spans):
+    """Seeded truncations and byte overwrites of each file the CLI reads, over
+    the whole file or aimed at the fields its deeper checks read: every run
+    exits 0, or 1 with a single error: line."""
     monkeypatch.chdir(workspace)
     vectors = "".join(word + f" {0.1 * i:.2f}" * 8 + "\n" for i, word in enumerate(WORDS))
     (workspace / "vectors.txt").write_text(vectors)
@@ -448,7 +489,7 @@ def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, 
 
     path = workspace / target
     data = RUN_INPUTS if target == "run.cfg" else path.read_bytes()
-    for i, mutant in enumerate(mutants(data, n, seed=0)):
+    for i, mutant in enumerate(mutants(data, n, seed=0, spans=spans and spans(data))):
         path.write_bytes(mutant + RUN_OUTPUTS if target == "run.cfg" else mutant)
         for argv in commands:
             capsys.readouterr()

@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from panemo import textprep as tp
+from panemo import verify
 from panemo.errors import ParseError
 
 
@@ -29,6 +31,21 @@ class TestTokenize:
     def test_punctuation_split(self):
         assert tp.tokenize("no,way") == ["no", ",", "way"]
 
+    def test_matches_reference_oracle(self):
+        rng = random.Random(13)
+        texts = [verify.random_tweet_text(rng) for _ in range(5000)]
+        mismatches = [t for t in texts if tp.tokenize(t) != verify.reference_tokenize(t)]
+        assert mismatches == []
+        # the texts reach both sides of every shortcut
+        lowered = [t.lower() for t in texts]
+        for trigger in ("http", "www.", "@", "#"):
+            assert 0.1 < sum(trigger in t for t in lowered) / len(texts) < 0.9, trigger
+        pieces = [p for t in lowered for p in t.split()]
+        assert 0.1 < sum(p.isalpha() for p in pieces) / len(pieces) < 0.9
+        assert any(p.isalpha() and not p.isascii() for p in pieces)
+        for char in ("\u200b", "\x1c", "<url>", "<<url>>", "ǅ", "İ", "ß", "ﬁ", "١", "²", "Ａ"):
+            assert any(char in t for t in texts), char
+
 
 class TestVocabulary:
     def test_build_min_count_1(self):
@@ -50,6 +67,23 @@ class TestVocabulary:
             assert tok in vocab.tokens
         # first-appearance order across the flattened corpus
         assert vocab.tokens[2:] == ["x", "y", "z"]
+
+    def test_constructor_keeps_first_appearance(self):
+        tokens = ["b", "a", "b", tp.UNK, "c", tp.PAD, "a", "<PAD>"]
+        index = {}  # oracle: add the tokens one by one after PAD and UNK, skipping repeats
+        for tok in [tp.PAD, tp.UNK, *tokens]:
+            index.setdefault(tok, len(index))
+        vocab = tp.Vocabulary(tokens)
+        assert vocab.tokens == list(index) == [tp.PAD, tp.UNK, "b", "a", "c", "<PAD>"]
+        queries = [*tokens, "unseen"]
+        assert [vocab.index(t) for t in queries] == [index.get(t, tp.UNK_INDEX) for t in queries]
+        assert len(vocab) == len(index)
+
+    def test_build_min_count_2_first_appearance_across_documents(self):
+        docs = [["e", "b", "a"], ["c", "a", "d"], ["b", "c", "f", "e"]]
+        vocab = tp.build_vocabulary(docs, min_count=2)
+        assert vocab.tokens == [tp.PAD, tp.UNK, "e", "b", "a", "c"]
+        assert [vocab.index(t) for t in "abcdef"] == [4, 3, 5, tp.UNK_INDEX, 2, tp.UNK_INDEX]
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
