@@ -6,7 +6,7 @@ deeper feature stacks, weighted BCE training with the full regularization
 and scheduling regime, and multi-label evaluation metrics.
 """
 
-from .autodiff import Tape, Tensor, backward, grad_check
+from .autodiff import Tape, Tensor, backward
 from .metrics import MetricsReport, compute_report, f1_scores, jaccard_accuracy, threshold
 from .model import ModelConfig, ModelParams, forward, init_params
 from .textprep import (
@@ -21,6 +21,7 @@ from .textprep import (
     tokenize,
 )
 from .training import TrainingConfig, TrainingLog, train
+from .verify import grad_check
 
 __version__ = "0.1.0"
 

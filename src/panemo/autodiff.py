@@ -6,10 +6,11 @@ a context manager), every differentiable op appends a backward rule to it;
 buffers. A tape is consumed by ``backward`` and cannot be replayed.
 
 The op set is the model's: 2-D matrices, 1-D bias vectors broadcast over
-rows, constant factors and offsets, the sigmoid head, feature concatenation
-and the scalar loss terms. Ops that act on whole sequences, such as the
-fused GRU layer, live with the model and record through ``record``; ops
-that only the per-step reference oracles use live in ``verify``.
+rows, constant factors, the sigmoid head, feature concatenation and the sum
+of the scalar loss terms. Ops that act on whole sequences, such as the
+fused GRU layer, and the loss terms live with the model and the training
+loop and record through ``record``; ops that only the per-step reference
+oracles use, and the gradient check, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DeterminismError,
-    EmptySequenceError,
-    ShapeError,
-    TapeConsumedError,
-)
+from .errors import EmptySequenceError, ShapeError, TapeConsumedError
 
 
 class Tensor:
@@ -61,6 +57,7 @@ class Tape:
     Forward execution order is a topological order of the graph, so replaying
     the records in reverse is a valid reverse-mode sweep. The tape is consumed
     by ``backward``, which empties it; a second replay raises TapeConsumedError.
+    One tape records at a time: entering a tape while another is active raises.
     """
 
     def __init__(self):
@@ -68,26 +65,28 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise RuntimeError("a tape is already recording")
+        _ACTIVE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
-            raise RuntimeError("tape context exited out of order")
-        _TAPE_STACK.pop()
+        global _ACTIVE
+        _ACTIVE = None
         return False
 
     def __len__(self):
         return len(self._records)
 
 
-# Active tape stack. Ops record onto the innermost active tape; with no
-# active tape they run forward-only (eval mode).
-_TAPE_STACK: list[Tape] = []
+# The recording tape. Ops record onto it; with no active tape they run
+# forward-only (eval mode).
+_ACTIVE: Tape | None = None
 
 
 def current_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    return _ACTIVE
 
 
 def record(backward_fn: Callable[[], None], out: Tensor):
@@ -197,27 +196,6 @@ def mul_const(a: Tensor, c) -> Tensor:
     return out
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    """Add a constant array (same shape). Gradient passes through unchanged.
-
-    Used for Gaussian weight noise: the noisy forward differentiates back to
-    the clean weight, and the noise itself is never stored in the parameter.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != a.data.shape:
-        raise ShapeError(f"add_const shape mismatch: {a.data.shape} + {c.shape}")
-    out = Tensor(a.data + c)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(a, g)
-
-    record(bwd, out)
-    return out
-
-
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise logistic function. Below -709, exp(-x) overflows to inf
     and y is 0, its limit, with no warning."""
@@ -277,33 +255,6 @@ def softmax_rows(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def square_sum(x: Tensor) -> Tensor:
-    """Sum of squared entries, as a scalar tensor (L2 building block)."""
-    out = Tensor((x.data * x.data).sum())
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(x, 2.0 * float(g) * x.data)
-
-    record(bwd, out)
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(x, g * c)
-
-    record(bwd, out)
-    return out
-
-
 def add_scalars(parts: Sequence[Tensor]) -> Tensor:
     """Sum of scalar tensors (loss = data term + penalty terms)."""
     out = Tensor(sum(float(p.data) for p in parts))
@@ -317,50 +268,3 @@ def add_scalars(parts: Sequence[Tensor]) -> Tensor:
 
     record(bwd, out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    eps: float = 1e-5,
-) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``f`` builds a scalar loss from the current ``.data`` of ``params``; it
-    must be deterministic (any internal randomness fixed by seed). The
-    analytic gradient comes from one taped forward/backward; the numeric one
-    perturbs each parameter component in place by ±eps.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    for p in params:
-        p.zero_grad()
-    with Tape() as tape:
-        loss = f()
-    v0 = float(loss.data)
-    v1 = float(f().data)
-    if v0 != v1:
-        raise DeterminismError(f"f is not deterministic: {v0!r} != {v1!r}")
-    backward(loss, tape)
-
-    worst = 0.0
-    for p in params:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = float(f().data)
-            flat[i] = orig - eps
-            fm = float(f().data)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
-            denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
-    return worst

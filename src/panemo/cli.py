@@ -184,8 +184,8 @@ def cmd_predict(args) -> int:
     all_scores = predict_scores(
         np.array(indices, dtype=np.int64), np.array(masks, dtype=np.float64), params
     )
-    for line, scores in zip(lines, all_scores):
-        labels = [name for name, s in zip(EMOTIONS, scores) if s > tau]
+    for line, scores, on in zip(lines, all_scores, metrics.threshold(all_scores, tau)):
+        labels = [name for name, flag in zip(EMOTIONS, on) if flag]
         score_str = " ".join(f"{name}={s:.3f}" for name, s in zip(EMOTIONS, scores))
         print(f"{line}\t{','.join(labels) if labels else '(none)'}\t{score_str}")
     return 0

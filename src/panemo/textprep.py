@@ -103,9 +103,6 @@ class Vocabulary:
         self._tokens = list(dict.fromkeys([PAD, UNK, *(tokens or ())]))
         self._index = dict(zip(self._tokens, range(len(self._tokens))))
 
-    def index(self, token: str) -> int:
-        return self._index.get(token, UNK_INDEX)
-
     def __len__(self) -> int:
         return len(self._tokens)
 
@@ -280,9 +277,7 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
     the line. The PAD row stays zero; UNK and out-of-file words get i.i.d.
     uniform(-0.05, 0.05) entries.
     """
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-0.05, 0.05, size=(len(vocab), d_emb))
-    weights[PAD_INDEX] = 0.0
+    weights = random_embeddings(len(vocab), d_emb, seed).weights
     # vocabulary row, source line and value text of every line to copy
     rows, lines, texts = [], [], []
 

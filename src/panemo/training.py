@@ -99,13 +99,34 @@ def weighted_bce(yhat: Tensor, y: np.ndarray, w: float) -> Tensor:
 
 
 def l2_penalty(params: ModelParams, coeff: float) -> Tensor:
-    """coeff * sum of squared entries over trainable weight matrices."""
+    """coeff * sum of squared entries over trainable weight matrices, as one
+    tape op whose rule adds 2 * coeff * w to the gradient of each matrix w."""
     if coeff < 0:
         raise ValueError("l2 coefficient must be >= 0")
     if coeff == 0.0:
         return Tensor(0.0)
-    terms = [ad.square_sum(w) for w in params.weight_matrices()]
-    return ad.scale(ad.add_scalars(terms), coeff)
+    weights = params.weight_matrices()
+    out = Tensor(sum(float((w.data * w.data).sum()) for w in weights) * coeff)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        c = 2.0 * (float(g) * coeff)
+        for w in weights:
+            ad.accumulate_grad(w, c * w.data)
+
+    ad.record(bwd, out)
+    return out
+
+
+def noisy_weight(clean: Tensor, noise: np.ndarray) -> Tensor:
+    """``clean`` plus a constant ``noise``, as a trainable tensor that shares
+    the clean weight's gradient buffer: whatever gradient reaches the noisy
+    weight lands on the clean one, with no tape record."""
+    noisy = Tensor(clean.data + noise)
+    noisy.trainable, noisy.grad = True, clean.grad
+    return noisy
 
 
 _NOISY_WEIGHTS = ("W_hr", "W_hz", "W_hn")
@@ -114,8 +135,9 @@ _NOISY_WEIGHTS = ("W_hr", "W_hz", "W_hn")
 def perturb_hidden_weights(params: ModelParams, sigma: float, rng) -> ModelParams:
     """Noisy view of params for one step: N(0, sigma^2) on GRU hidden weights.
 
-    Gradients flow through the perturbed forward back to the clean weights;
-    the noise itself is never stored. Eval always uses the clean params.
+    Gradients of the perturbed forward land on the clean weights
+    (``noisy_weight``); the noise itself is never stored. Eval always uses
+    the clean params.
     """
     if sigma == 0.0:
         return params
@@ -125,7 +147,7 @@ def perturb_hidden_weights(params: ModelParams, sigma: float, rng) -> ModelParam
         for w_name in _NOISY_WEIGHTS:
             clean = getattr(direction, w_name)
             noise = rng.normal(0.0, sigma, size=clean.data.shape)
-            setattr(direction, w_name, ad.add_const(clean, noise))
+            setattr(direction, w_name, noisy_weight(clean, noise))
         setattr(noisy, gru_name, direction)
     return noisy
 

@@ -1,5 +1,6 @@
-"""Self-verification harnesses: downsized gradient checks (eval and train
-mode), invariant suites, reference oracles, and a synthetic overfit dataset.
+"""Self-verification harnesses: the finite-difference gradient check and its
+downsized runs (eval and train mode), invariant suites, reference oracles,
+and a synthetic overfit dataset.
 
 The oracles here are deliberately independent of the fast implementations
 they check: the metric oracles are plain Python loops over individual cells,
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import DeterminismError, ShapeError
 from .metrics import f1_scores, jaccard_accuracy
 from .model import (
     AttentionParams,
@@ -48,13 +50,61 @@ from .textprep import (
 from .training import (
     TrainingConfig,
     l2_penalty,
+    noisy_weight,
     perturb_hidden_weights,
     weighted_bce,
 )
 
 
 # ---------------------------------------------------------------------------
-# downsized model + gradient check
+# gradient check
+# ---------------------------------------------------------------------------
+
+
+def grad_check(
+    f: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    eps: float = 1e-5,
+) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    ``f`` builds a scalar loss from the current ``.data`` of ``params``; it
+    must be deterministic (any internal randomness fixed by seed). The
+    analytic gradient comes from one taped forward/backward; the numeric one
+    perturbs each parameter component in place by ±eps.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for p in params:
+        p.zero_grad()
+    with ad.Tape() as tape:
+        loss = f()
+    v0 = float(loss.data)
+    v1 = float(f().data)
+    if v0 != v1:
+        raise DeterminismError(f"f is not deterministic: {v0!r} != {v1!r}")
+    ad.backward(loss, tape)
+
+    worst = 0.0
+    for p in params:
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        aflat = analytic.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(f().data)
+            flat[i] = orig - eps
+            fm = float(f().data)
+            flat[i] = orig
+            numeric = (fp - fm) / (2.0 * eps)
+            denom = max(abs(aflat[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(aflat[i] - numeric) / denom)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# downsized model
 # ---------------------------------------------------------------------------
 
 DOWNSIZED = dict(vocab_size=20, d_emb=8, hidden=4, T=5, batch=2)
@@ -91,7 +141,7 @@ def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3
         )
 
     trainable = [t for _, t in params.trainable_parameters()]
-    return ad.grad_check(loss_fn, trainable, eps=eps)
+    return grad_check(loss_fn, trainable, eps=eps)
 
 
 def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
@@ -119,7 +169,7 @@ def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-
         )
 
     trainable = [t for _, t in params.trainable_parameters()]
-    return ad.grad_check(loss_fn, trainable, eps=eps)
+    return grad_check(loss_fn, trainable, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +263,7 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, p: GruDirectionParams) -> Tensor:
         )
     )
     # (1 - z) * n + z * h_prev, written without a standalone ones tensor
-    return ad.add(ad.add(n, ad.scale(mul(n, z), -1.0)), mul(h_prev, z))
+    return ad.add(ad.add(n, ad.mul_const(mul(n, z), -1.0)), mul(h_prev, z))
 
 
 def reference_bigru_layer(
@@ -323,8 +373,8 @@ def check_fused_bigru(
 
     By default the batch has the ragged prefix masks of ``_oracle_mask``; a
     given (B, T) prefix ``mask`` replaces them and sets T and B. The hidden
-    weights carry ``add_const`` noise as in a training step, so the gate
-    gradients reach the clean weights through the noise op.
+    weights carry noise built as in a training step (``noisy_weight``), so
+    the gate gradients reach the clean weights through the shared buffers.
     """
     rng = np.random.default_rng(seed)
     if mask is not None:
@@ -339,8 +389,7 @@ def check_fused_bigru(
 
     def noisy(p, eps):
         return dataclasses.replace(
-            p, W_hr=ad.add_const(p.W_hr, eps[0]), W_hz=ad.add_const(p.W_hz, eps[1]),
-            W_hn=ad.add_const(p.W_hn, eps[2]),
+            p, **{name: noisy_weight(getattr(p, name), e) for name, e in zip(("W_hr", "W_hz", "W_hn"), eps)}
         )
 
     def run(fused: bool):

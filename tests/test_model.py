@@ -19,7 +19,7 @@ from panemo.model import (
     row_ends,
 )
 from panemo.textprep import random_embeddings
-from panemo.verify import build_downsized, gru_cell, gru_direction, random_gru, tensor_sum, unpack
+from panemo.verify import build_downsized, grad_check, gru_cell, gru_direction, random_gru, tensor_sum, unpack
 
 
 def packed(a, mask):
@@ -554,4 +554,4 @@ def test_full_model_gradients_vs_finite_differences_small():
 
     subset = [params.gru1_fwd.W_hn, params.attn1.w_a, params.W_d, params.gru2_bwd.b_hz]
     # end-to-end tolerance; per-op checks at 1e-6 live in test_autodiff
-    assert ad.grad_check(f, subset, eps=1e-5) < 1e-4
+    assert grad_check(f, subset, eps=1e-5) < 1e-4

@@ -47,17 +47,22 @@ class TestTokenize:
             assert any(char in t for t in texts), char
 
 
+def index_of(vocab, *tokens):
+    """The vocabulary rows of ``tokens``, looked up through ``encode``."""
+    return tp.encode(list(tokens), vocab, len(tokens))[0]
+
+
 class TestVocabulary:
     def test_build_min_count_1(self):
         vocab = tp.build_vocabulary([["a", "b", "a"]], min_count=1)
-        assert (vocab.index("a"), vocab.index("b")) == (2, 3)
-        assert vocab.index(tp.PAD) == 0 and vocab.index(tp.UNK) == 1
+        assert index_of(vocab, "a", "b") == [2, 3]
+        assert index_of(vocab, tp.PAD, tp.UNK) == [0, 1]
         assert len(vocab) == 4
 
     def test_build_min_count_2(self):
         vocab = tp.build_vocabulary([["a", "b", "a"]], min_count=2)
         assert vocab.tokens == [tp.PAD, tp.UNK, "a"]
-        assert vocab.index("b") == tp.UNK_INDEX  # unknown falls back to UNK
+        assert index_of(vocab, "b") == [tp.UNK_INDEX]  # unknown falls back to UNK
 
     def test_indices_independent_of_document_boundaries(self):
         docs = [["x", "y"], ["y", "z", "x"]]
@@ -76,14 +81,14 @@ class TestVocabulary:
         vocab = tp.Vocabulary(tokens)
         assert vocab.tokens == list(index) == [tp.PAD, tp.UNK, "b", "a", "c", "<PAD>"]
         queries = [*tokens, "unseen"]
-        assert [vocab.index(t) for t in queries] == [index.get(t, tp.UNK_INDEX) for t in queries]
+        assert index_of(vocab, *queries) == [index.get(t, tp.UNK_INDEX) for t in queries]
         assert len(vocab) == len(index)
 
     def test_build_min_count_2_first_appearance_across_documents(self):
         docs = [["e", "b", "a"], ["c", "a", "d"], ["b", "c", "f", "e"]]
         vocab = tp.build_vocabulary(docs, min_count=2)
         assert vocab.tokens == [tp.PAD, tp.UNK, "e", "b", "a", "c"]
-        assert [vocab.index(t) for t in "abcdef"] == [4, 3, 5, tp.UNK_INDEX, 2, tp.UNK_INDEX]
+        assert index_of(vocab, *"abcdef") == [4, 3, 5, tp.UNK_INDEX, 2, tp.UNK_INDEX]
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -203,9 +208,20 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.0 2.0\n")
         emb = tp.load_embeddings(path, vocab, d_emb=2, seed=0)
-        np.testing.assert_array_equal(emb.weights[vocab.index("cat")], [1.0, 2.0])
+        np.testing.assert_array_equal(emb.weights[index_of(vocab, "cat")], [[1.0, 2.0]])
         np.testing.assert_array_equal(emb.weights[tp.PAD_INDEX], [0.0, 0.0])
         assert np.all(np.abs(emb.weights[tp.UNK_INDEX]) <= 0.05)
+
+    def test_rows_not_copied_are_the_seeded_random_table(self, tmp_path):
+        vocab = tp.build_vocabulary([["cat", "dog", "bird"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("dog 1.0 2.0\n")
+        emb = tp.load_embeddings(path, vocab, 2, seed=7)
+        table = tp.random_embeddings(len(vocab), 2, seed=7).weights
+        dog = index_of(vocab, "dog")[0]
+        assert emb.weights[dog].tolist() == [1.0, 2.0]
+        others = [i for i in range(len(vocab)) if i != dog]
+        assert emb.weights[others].tobytes() == table[others].tobytes()
 
     def test_same_seed_bit_identical(self, tmp_path):
         vocab = tp.build_vocabulary([["cat", "dog", "bird"]])
@@ -247,8 +263,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.0 2.0\ndog nan 0.0\ncat 3.0 4.0\ndog 5.0 6.0\n")
         emb = tp.load_embeddings(path, vocab, d_emb=2, seed=0)
-        np.testing.assert_array_equal(emb.weights[vocab.index("cat")], [3.0, 4.0])
-        np.testing.assert_array_equal(emb.weights[vocab.index("dog")], [5.0, 6.0])
+        np.testing.assert_array_equal(emb.weights[index_of(vocab, "cat", "dog")], [[3.0, 4.0], [5.0, 6.0]])
         assert emb.coverage == 1.0
 
     def test_wrong_arity_of_word_not_in_vocabulary(self, tmp_path):
@@ -271,5 +286,4 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text(f"cat {text} 2.0\ndog 0.5 0.25\n", encoding="utf-8")
         emb = tp.load_embeddings(path, vocab, d_emb=2, seed=0)
-        np.testing.assert_array_equal(emb.weights[vocab.index("cat")], [value, 2.0])
-        np.testing.assert_array_equal(emb.weights[vocab.index("dog")], [0.5, 0.25])
+        np.testing.assert_array_equal(emb.weights[index_of(vocab, "cat", "dog")], [[value, 2.0], [0.5, 0.25]])

@@ -4,7 +4,7 @@ import pytest
 from panemo import autodiff as ad
 from panemo.autodiff import Tape, Tensor, backward
 from panemo.errors import ShapeError
-from panemo.model import Packing, dropout_mask, forward
+from panemo.model import Packing, dropout_mask, forward, params_from_arrays
 from panemo.training import (
     AdamState,
     EpochRecord,
@@ -24,6 +24,7 @@ from panemo.verify import (
     build_downsized,
     make_synthetic_dataset,
     overfit_harness,
+    tensor_sum,
     train_mode_gradcheck,
     unpack,
 )
@@ -79,8 +80,25 @@ class TestL2Penalty:
         assert float(l2_penalty(params, 0.0).data) == 0.0
 
     def test_single_matrix(self):
-        t = Tensor(np.array([[3.0, 4.0]]), trainable=True)
-        assert float(ad.square_sum(t).data) == 25.0
+        params = build_downsized(seed=0)
+        for w in params.weight_matrices():
+            w.data[...] = 0.0
+        params.W_d.data[:2, 0] = [3.0, 4.0]
+        assert float(l2_penalty(params, 1.0).data) == 25.0
+
+    def test_one_record_matching_a_per_matrix_loop(self):
+        params = build_downsized(seed=3)
+        coeff = 1e-3
+        with Tape() as tape:
+            loss = l2_penalty(params, coeff)
+        assert len(tape) == 1
+        backward(loss, tape)
+        total = 0.0
+        for w in params.weight_matrices():
+            total += float((w.data * w.data).sum())
+            assert np.array_equal(w.grad, 2.0 * coeff * w.data)
+        assert float(loss.data) == total * coeff
+        assert all(not t.grad.any() for _, t in params.trainable_parameters() if t.data.ndim == 1)
 
     def test_matches_flattening_oracle(self):
         params = build_downsized(seed=1)
@@ -159,6 +177,25 @@ class TestWeightNoise:
         assert noisy.gru1_fwd.W_ir is params.gru1_fwd.W_ir
         assert noisy.W_d is params.W_d
         assert not np.array_equal(noisy.gru1_fwd.W_hr.data, params.gru1_fwd.W_hr.data)
+
+    def test_noisy_gradient_reaches_clean_weight(self):
+        params = build_downsized(seed=7)
+        idx = np.array([[2, 5, 7, 0, 0], [3, 9, 4, 11, 6]])
+        msk = (idx > 0).astype(np.float64)
+        with Tape() as tape:
+            noisy = perturb_hidden_weights(params, 0.1, np.random.default_rng(8))
+            assert len(tape) == 0  # the noise records nothing
+            loss = tensor_sum(forward(idx, msk, noisy)[0])
+        backward(loss, tape)
+        assert noisy.gru2_bwd.W_hn.grad is params.gru2_bwd.W_hn.grad
+        # oracle: the noisy values as ordinary trainable leaves
+        plain = params_from_arrays({n: t.data.copy() for n, t in noisy.named_parameters()}, params.config)
+        with Tape() as tape:
+            loss = tensor_sum(forward(idx, msk, plain)[0])
+        backward(loss, tape)
+        for (name, clean), (_, leaf) in zip(params.trainable_parameters(), plain.trainable_parameters()):
+            assert np.array_equal(clean.grad, leaf.grad), name
+        assert params.gru1_fwd.W_hr.grad.any()
 
     def test_lr_zero_noise_not_persisted(self):
         dataset = make_synthetic_dataset(8, seed=0)
@@ -311,6 +348,23 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch\ttrain_loss\tval_loss\tlr\telapsed_seconds"
         assert len(lines) == 1 + len(log.epochs)
+
+    def test_train_mode_step_records_twelve_entries(self, monkeypatch):
+        """With dropout, spatial dropout, weight noise and L2 on, a step's tape
+        holds the model's 9 ops, the BCE, the L2 penalty and their sum."""
+        counts = []
+        replay = ad.backward
+
+        def counting(loss, tape):
+            counts.append(len(tape))
+            return replay(loss, tape)
+
+        monkeypatch.setattr(ad, "backward", counting)
+        config = TrainingConfig(batch_size=4, max_epochs=1, seed=6)
+        assert config.dropout_dense and config.spatial_dropout and config.weight_noise_std and config.l2_coeff
+        dataset = make_synthetic_dataset(12, seed=6)
+        train(dataset, dataset, config, build_downsized(seed=6))
+        assert counts == [12, 12, 12]
 
     def test_empty_dataset_rejected(self):
         from panemo.textprep import Dataset
