@@ -5,12 +5,14 @@ a context manager), every differentiable op appends a backward rule to it;
 ``backward(loss, tape)`` replays the rules in reverse to populate ``grad``
 buffers. A tape is consumed by ``backward`` and cannot be replayed.
 
-The op set is the model's: 2-D matrices, 1-D bias vectors broadcast over
-rows, constant factors, the sigmoid head, feature concatenation and the sum
-of the scalar loss terms. Ops that act on whole sequences, such as the
-fused GRU layer, and the loss terms live with the model and the training
-loop and record through ``record``; ops that only the per-step reference
-oracles use, and the gradient check, live in ``verify``.
+This module is the tape core: ``Tensor``, ``Tape``, ``current_tape``,
+``record``, ``needs_grad``, ``accumulate_grad``, ``backward`` and one op,
+``add_scalars``, the sum of the scalar loss terms. Every other op lives with
+its user and records through ``record``: the fused BiGRU layer, attention
+pooling and the dense head in ``model``, the loss terms in ``training``, and
+the generic ops that only the reference oracles compose (``matmul``,
+``add``, ``sigmoid`` and the rest) in ``verify``, next to the gradient
+check. A training step records 8 entries.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySequenceError, ShapeError, TapeConsumedError
+from .errors import ShapeError, TapeConsumedError
 
 
 class Tensor:
@@ -129,130 +131,6 @@ def backward(loss: Tensor, tape: Tape):
     records = tape._records
     while records:
         records.pop()()  # a rule, and the arrays it saved, are released once run
-
-
-# ---------------------------------------------------------------------------
-# ops
-# ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b for 2-D operands."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(a, g @ b.data.T)
-        accumulate_grad(b, a.data.T @ g)
-
-    record(bwd, out)
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias in ``b`` broadcast over rows."""
-    if a.data.shape == b.data.shape:
-        pass
-    elif b.data.ndim == 1 and a.data.ndim == 2 and a.data.shape[1] == b.data.shape[0]:
-        pass
-    else:
-        raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-    out = Tensor(a.data + b.data)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(a, g)
-        if b.data.shape == a.data.shape:
-            accumulate_grad(b, g)
-        else:
-            accumulate_grad(b, g.sum(axis=0))
-
-    record(bwd, out)
-    return out
-
-
-def mul_const(a: Tensor, c) -> Tensor:
-    """Multiply by a constant array or scalar (no gradient into the constant)."""
-    c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.data * c)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        ga = g * c
-        # undo any broadcasting of the constant over a's shape
-        if ga.shape != a.data.shape:
-            raise ShapeError(f"mul_const broadcast widened {a.data.shape} to {ga.shape}")
-        accumulate_grad(a, ga)
-
-    record(bwd, out)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function. Below -709, exp(-x) overflows to inf
-    and y is 0, its limit, with no warning."""
-    with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y)
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        accumulate_grad(x, g * y * (1.0 - y))
-
-    record(bwd, out)
-    return out
-
-
-def concat_features(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis; all parts share leading dimensions."""
-    if not parts:
-        raise ShapeError("concat_features needs at least one part")
-    lead = parts[0].data.shape[:-1]
-    for p in parts:
-        if p.data.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_features leading-dimension mismatch: "
-                f"{parts[0].data.shape} vs {p.data.shape}"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    widths = [p.data.shape[-1] for p in parts]
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        offset = 0
-        for p, w in zip(parts, widths):
-            accumulate_grad(p, g[..., offset : offset + w])
-            offset += w
-
-    record(bwd, out)
-    return out
-
-
-def softmax_rows(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (B, T) scores over the positions where the 0/1
-    mask is set, exactly zero elsewhere. The max valid score of each row is
-    subtracted before exponentiating. Its gradient rule is
-    ds = a * (g - sum(a * g)); attention pooling applies it in its own
-    backward rule.
-    """
-    if np.any(m.sum(axis=1) == 0):
-        raise EmptySequenceError("masked_softmax: a row has no valid positions")
-    neg = np.where(m > 0, s, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
-    e = np.where(m > 0, np.exp(np.where(m > 0, shifted, 0.0)), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def add_scalars(parts: Sequence[Tensor]) -> Tensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -249,7 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout stopped reading: neither a user error nor a
+        # fault. With fd 1 on the null device, the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ConfigError, ParseError, CheckpointError, TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import EmptySequenceError, ShapeError
 from .textprep import EmbeddingMatrix, NUM_EMOTIONS
 
 
@@ -515,6 +515,21 @@ def bigru_layer(
     return y
 
 
+def softmax_rows(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (B, T) scores over the positions where the 0/1
+    mask is set, exactly zero elsewhere. The max valid score of each row is
+    subtracted before exponentiating. Its gradient rule is
+    ds = a * (g - sum(a * g)); attention pooling applies it in its own
+    backward rule, and ``verify.masked_softmax`` wraps it as a tape op.
+    """
+    if np.any(m.sum(axis=1) == 0):
+        raise EmptySequenceError("masked_softmax: a row has no valid positions")
+    neg = np.where(m > 0, s, -np.inf)
+    shifted = neg - neg.max(axis=1, keepdims=True)
+    e = np.where(m > 0, np.exp(np.where(m > 0, shifted, 0.0)), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def attention_pool(us: list[Tensor], p: AttentionParams, pack: Packing) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted sum over the valid positions of each batch row, as
     one tape op.
@@ -534,7 +549,7 @@ def attention_pool(us: list[Tensor], p: AttentionParams, pack: Packing) -> tuple
     bounds = list(zip([0] + ends[:-1], ends))
     w = p.w_a.data[:, 0]
     e = sum(u.data @ w[lo:hi] for u, (lo, hi) in zip(us, bounds))
-    a = ad.softmax_rows(pack.to_grid(e) + p.b.data, pack.grid_mask)
+    a = softmax_rows(pack.to_grid(e) + p.b.data, pack.grid_mask)
     a_rows = pack.from_grid(a)
     runs = [(slice(r0, r1), a_rows[r0:r1].reshape(steps, kk), kk) for r0, r1, steps, kk in pack.runs]
     pooled = []  # per block, rows by rank
@@ -571,6 +586,40 @@ def attention_pool(us: list[Tensor], p: AttentionParams, pack: Packing) -> tuple
 
     ad.record(backward, out)
     return out, weights
+
+
+def head(v1: Tensor, v2: Tensor, W_d: Tensor, b_d: Tensor, dense_keep: np.ndarray | None = None) -> Tensor:
+    """The dense sigmoid head over the two pooled vectors, as one tape op.
+
+    v = [v1 ; v2], times the inverted-dropout keep mask ``dense_keep`` when
+    one is given; y = 1 / (1 + exp(-(v W_d + b_d))). Below -709, exp(-z)
+    overflows to inf and y is 0, its limit, with no warning. The backward
+    rule computes gz = g y (1 - y) once, then the gradients of W_d, b_d and
+    the two slices of v.
+    """
+    v = np.concatenate([v1.data, v2.data], axis=-1)
+    if dense_keep is not None:
+        v = v * dense_keep
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-(v @ W_d.data + b_d.data)))
+    out = Tensor(y)
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        gz = g * y * (1.0 - y)
+        ad.accumulate_grad(W_d, v.T @ gz)
+        ad.accumulate_grad(b_d, gz.sum(axis=0))
+        gv = gz @ W_d.data.T
+        if dense_keep is not None:
+            gv = gv * dense_keep
+        d1 = v1.data.shape[-1]
+        ad.accumulate_grad(v1, gv[:, :d1])
+        ad.accumulate_grad(v2, gv[:, d1:])
+
+    ad.record(backward, out)
+    return out
 
 
 def forward(
@@ -610,10 +659,7 @@ def forward(
 
     v1, a1 = attention_pool([h1, x], params.attn1, pack)
     v2, a2 = attention_pool([h2, h1, x], params.attn2, pack)
-    v = ad.concat_features([v1, v2])
-    if dense_keep is not None:
-        v = ad.mul_const(v, dense_keep)
-    yhat = ad.sigmoid(ad.add(ad.matmul(v, params.W_d), params.b_d))
+    yhat = head(v1, v2, params.W_d, params.b_d, dense_keep)
     pad = ((0, 0), (0, T - length))
     return yhat, np.pad(a1, pad), np.pad(a2, pad)
 

@@ -5,8 +5,9 @@ and a synthetic overfit dataset.
 The oracles here are deliberately independent of the fast implementations
 they check: the metric oracles are plain Python loops over individual cells,
 the sequence-layer oracles build the GRU and attention pooling from
-per-step, per-gate tape ops, and the tokenizer oracle applies every rule's
-regex to every text and piece.
+per-step, per-gate tape ops, the head oracle composes the dense head from
+generic ones, and the tokenizer oracle applies every rule's regex to every
+text and piece.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .model import (
     dropout_mask,
     forward,
     gru_layout,
+    head,
     init_params,
+    softmax_rows,
 )
 from .textprep import (
     _ELONGATION_RE,
@@ -177,6 +180,110 @@ def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-
 # ---------------------------------------------------------------------------
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product a @ b for 2-D operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad.accumulate_grad(a, g @ b.data.T)
+        ad.accumulate_grad(b, a.data.T @ g)
+
+    ad.record(bwd, out)
+    return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; also accepts a 1-D bias in ``b`` broadcast over rows."""
+    if a.data.shape == b.data.shape:
+        pass
+    elif b.data.ndim == 1 and a.data.ndim == 2 and a.data.shape[1] == b.data.shape[0]:
+        pass
+    else:
+        raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    out = Tensor(a.data + b.data)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad.accumulate_grad(a, g)
+        if b.data.shape == a.data.shape:
+            ad.accumulate_grad(b, g)
+        else:
+            ad.accumulate_grad(b, g.sum(axis=0))
+
+    ad.record(bwd, out)
+    return out
+
+
+def mul_const(a: Tensor, c) -> Tensor:
+    """Multiply by a constant array or scalar (no gradient into the constant)."""
+    c = np.asarray(c, dtype=np.float64)
+    out = Tensor(a.data * c)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ga = g * c
+        # undo any broadcasting of the constant over a's shape
+        if ga.shape != a.data.shape:
+            raise ShapeError(f"mul_const broadcast widened {a.data.shape} to {ga.shape}")
+        ad.accumulate_grad(a, ga)
+
+    ad.record(bwd, out)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function. Below -709, exp(-x) overflows to inf
+    and y is 0, its limit, with no warning."""
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
+    out = Tensor(y)
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad.accumulate_grad(x, g * y * (1.0 - y))
+
+    ad.record(bwd, out)
+    return out
+
+
+def concat_features(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the last axis; all parts share leading dimensions."""
+    if not parts:
+        raise ShapeError("concat_features needs at least one part")
+    lead = parts[0].data.shape[:-1]
+    for p in parts:
+        if p.data.shape[:-1] != lead:
+            raise ShapeError(
+                f"concat_features leading-dimension mismatch: "
+                f"{parts[0].data.shape} vs {p.data.shape}"
+            )
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    widths = [p.data.shape[-1] for p in parts]
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        offset = 0
+        for p, w in zip(parts, widths):
+            ad.accumulate_grad(p, g[..., offset : offset + w])
+            offset += w
+
+    ad.record(bwd, out)
+    return out
+
+
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y)
@@ -225,7 +332,7 @@ def masked_softmax(scores: Tensor, mask) -> Tensor:
     m = np.asarray(mask, dtype=np.float64)
     if m.ndim != 2 or m.shape != scores.data.shape:
         raise ShapeError(f"mask shape {m.shape} != (B, T) scores shape {scores.data.shape}")
-    a = ad.softmax_rows(scores.data, m)
+    a = softmax_rows(scores.data, m)
     out = Tensor(a)
 
     def bwd():
@@ -250,20 +357,20 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, p: GruDirectionParams) -> Tensor:
     n = tanh(W_in x + b_in + r * (W_hn h + b_hn))   # r gates the affine hidden term
     h' = (1 - z) * n + z * h
     """
-    r = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p.W_ir), p.b_ir), ad.add(ad.matmul(h_prev, p.W_hr), p.b_hr))
+    r = sigmoid(
+        add(add(matmul(x_t, p.W_ir), p.b_ir), add(matmul(h_prev, p.W_hr), p.b_hr))
     )
-    z = ad.sigmoid(
-        ad.add(ad.add(ad.matmul(x_t, p.W_iz), p.b_iz), ad.add(ad.matmul(h_prev, p.W_hz), p.b_hz))
+    z = sigmoid(
+        add(add(matmul(x_t, p.W_iz), p.b_iz), add(matmul(h_prev, p.W_hz), p.b_hz))
     )
     n = tanh(
-        ad.add(
-            ad.add(ad.matmul(x_t, p.W_in), p.b_in),
-            mul(ad.add(ad.matmul(h_prev, p.W_hn), p.b_hn), r),
+        add(
+            add(matmul(x_t, p.W_in), p.b_in),
+            mul(add(matmul(h_prev, p.W_hn), p.b_hn), r),
         )
     )
     # (1 - z) * n + z * h_prev, written without a standalone ones tensor
-    return ad.add(ad.add(n, ad.mul_const(mul(n, z), -1.0)), mul(h_prev, z))
+    return add(add(n, mul_const(mul(n, z), -1.0)), mul(h_prev, z))
 
 
 def reference_bigru_layer(
@@ -283,13 +390,13 @@ def reference_bigru_layer(
             m_t = mask[:, t : t + 1]
             h_new = gru_cell(xs[t], h, params)
             # carried state: h_new where valid, previous h where masked
-            h = ad.add(ad.mul_const(h_new, m_t), ad.mul_const(h, 1.0 - m_t))
-            outs[t] = ad.mul_const(h_new, m_t)
+            h = add(mul_const(h_new, m_t), mul_const(h, 1.0 - m_t))
+            outs[t] = mul_const(h_new, m_t)
         return [outs[t] for t in range(T)]
 
     hs_fwd = scan(range(T), fwd)
     hs_bwd = scan(range(T - 1, -1, -1), bwd)
-    return [ad.concat_features([hs_fwd[t], hs_bwd[t]]) for t in range(T)]
+    return [concat_features([hs_fwd[t], hs_bwd[t]]) for t in range(T)]
 
 
 def reference_attention_pool(
@@ -298,13 +405,13 @@ def reference_attention_pool(
     """Oracle for ``model.attention_pool`` over T per-position (B, d_u) inputs:
     one score per position, then a sum of per-position weighted terms."""
     T = len(us)
-    scores = ad.concat_features([ad.add(ad.matmul(u, p.w_a), p.b) for u in us])  # (B, T)
+    scores = concat_features([add(matmul(u, p.w_a), p.b) for u in us])  # (B, T)
     weights = masked_softmax(scores, mask)
     pooled = None
     for t, u in enumerate(us):
-        column = ad.matmul(weights, Tensor(np.eye(T)[:, t : t + 1]))  # (B, 1)
+        column = matmul(weights, Tensor(np.eye(T)[:, t : t + 1]))  # (B, 1)
         term = mul(u, column)
-        pooled = term if pooled is None else ad.add(pooled, term)
+        pooled = term if pooled is None else add(pooled, term)
     return pooled, weights.data.copy()
 
 
@@ -401,13 +508,13 @@ def check_fused_bigru(
             if fused:
                 xs = Tensor(pack.pack(x), trainable=True)
                 out = bigru_layer(xs, fwd, bwd, mask, pack)
-                loss = tensor_sum(ad.mul_const(out, pack.pack(probe)))
+                loss = tensor_sum(mul_const(out, pack.pack(probe)))
                 out = Tensor(unpack(pack, out.data))
             else:
                 xs = [Tensor(x[t], trainable=True) for t in range(T)]
                 outs = reference_bigru_layer(xs, fwd, bwd, mask)
                 loss = ad.add_scalars(
-                    [tensor_sum(ad.mul_const(o, probe[t])) for t, o in enumerate(outs)]
+                    [tensor_sum(mul_const(o, probe[t])) for t, o in enumerate(outs)]
                 )
                 out = Tensor(np.stack([o.data for o in outs]))
         ad.backward(loss, tape)
@@ -452,7 +559,7 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
             else:
                 us = [Tensor(u[t], trainable=True) for t in range(T)]
                 pooled, weights = reference_attention_pool(us, p, mask)
-            loss = tensor_sum(ad.mul_const(pooled, probe))
+            loss = tensor_sum(mul_const(pooled, probe))
         ad.backward(loss, tape)
         du = unpack(pack, us[0].grad) if fused else np.stack([t.grad for t in us])[..., :split]
         return [pooled.data, weights, du, p.w_a.grad.copy()], float(np.abs(p.b.grad).max())
@@ -460,6 +567,57 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
     (fused, b_fused), (oracle, b_oracle) = run(True), run(False)
     worst = max(_relative_error(f, o) for f, o in zip(fused, oracle))
     return max(worst, b_fused, b_oracle)
+
+
+def reference_head(v1: Tensor, v2: Tensor, W_d: Tensor, b_d: Tensor, dense_keep=None) -> Tensor:
+    """Oracle for ``model.head`` composed from the generic tape ops."""
+    v = concat_features([v1, v2])
+    if dense_keep is not None:
+        v = mul_const(v, dense_keep)
+    return sigmoid(add(matmul(v, W_d), b_d))
+
+
+# Scales of the pooled vectors in the head checks: at 1e3 the logits pass
+# ±709, where exp(-z) overflows and y saturates.
+HEAD_SCALES = (1.0, 1e3)
+
+
+def compare_fused_head(seed: int, dropout: bool, scale: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``model.head`` and ``reference_head`` on one random case: per side, y
+    and the gradients of v1, v2, W_d and b_d under the loss sum(probe * y).
+
+    The pooled vectors are uniform(-scale, scale); with ``dropout`` a dense
+    keep mask is drawn at the training rate.
+    """
+    rng = np.random.default_rng(seed)
+    B, d1, d2, n_labels = 6, 3, 5, 4
+    arrays = [
+        rng.uniform(-scale, scale, (B, d1)),
+        rng.uniform(-scale, scale, (B, d2)),
+        rng.uniform(-1, 1, (d1 + d2, n_labels)),
+        rng.uniform(-1, 1, n_labels),
+    ]
+    keep = dropout_mask((B, d1 + d2), TrainingConfig().dropout_dense, rng) if dropout else None
+    probe = rng.uniform(-1, 1, (B, n_labels))
+
+    def run(head_op):
+        tensors = [Tensor(a, trainable=True) for a in arrays]
+        with ad.Tape() as tape:
+            y = head_op(*tensors, keep)
+            loss = tensor_sum(mul_const(y, probe))
+        ad.backward(loss, tape)
+        return [y.data] + [t.grad for t in tensors]
+
+    return run(head), run(reference_head)
+
+
+def check_fused_head(seeds: Sequence[int]) -> float:
+    """Worst relative difference between ``model.head`` and its composed
+    oracle over ``seeds``, dropout on and off, and ``HEAD_SCALES``."""
+    cases = [(s, dropout, scale) for s in seeds for dropout in (False, True) for scale in HEAD_SCALES]
+    return max(
+        _relative_error(f, o) for case in cases for f, o in zip(*compare_fused_head(*case))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +900,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         ("fused BiGRU vs per-step oracle", bigru, 1e-12),
         ("fused attention vs per-position oracle", max(map(check_fused_attention, oracle_seeds)), 1e-12),
         ("packed attention vs per-position oracle", packed_attention, 1e-12),
+        ("dense head vs composed oracle ops", check_fused_head(oracle_seeds), 1e-12),
         ("tokenizer vs reference oracle", check_tokenizer_oracle(1000 if quick else 5000, seed), 1e-12),
     ]:
         results.append((name, worst, tol, worst < tol))

@@ -10,7 +10,18 @@ from panemo.errors import (
     ShapeError,
     TapeConsumedError,
 )
-from panemo.verify import grad_check, masked_softmax, mul, tanh, tensor_sum
+from panemo.verify import (
+    add,
+    concat_features,
+    grad_check,
+    masked_softmax,
+    matmul,
+    mul,
+    mul_const,
+    sigmoid,
+    tanh,
+    tensor_sum,
+)
 
 
 def naive_matmul(a, b):
@@ -28,50 +39,50 @@ def naive_matmul(a, b):
 class TestMatmul:
     def test_identity(self):
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        out = ad.matmul(Tensor(np.eye(2)), b)
+        out = matmul(Tensor(np.eye(2)), b)
         np.testing.assert_array_equal(out.data, b.data)
 
     def test_zeros(self):
-        out = ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 4))))
+        out = matmul(Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 4))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_against_triple_loop(self):
         a = [[1.0, 2.0], [3.0, 4.0]]
         b = [[5.0], [6.0]]
-        out = ad.matmul(Tensor(a), Tensor(b))
+        out = matmul(Tensor(a), Tensor(b))
         np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
         np.testing.assert_array_equal(out.data, naive_matmul(a, b))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_associativity_on_random_triples(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             a, b, c = (Tensor(rng.uniform(-1, 1, (4, 4))) for _ in range(3))
-            left = ad.matmul(ad.matmul(a, b), c).data
-            right = ad.matmul(a, ad.matmul(b, c)).data
+            left = matmul(matmul(a, b), c).data
+            right = matmul(a, matmul(b, c)).data
             np.testing.assert_allclose(left, right, atol=1e-10)
 
 
 class TestActivation:
-    """``sigmoid`` is the model's; ``tanh`` is the per-step GRU oracle's."""
+    """``sigmoid`` and ``tanh``, the per-step GRU oracle's activations."""
 
     def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
+        assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
     def test_tanh_at_zero(self):
         assert tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_sigmoid_closed_form(self):
         # sigmoid(ln 3) = 3 / (1 + 3)
-        out = ad.sigmoid(Tensor([np.log(3.0)]))
+        out = sigmoid(Tensor([np.log(3.0)]))
         np.testing.assert_allclose(out.data[0], 0.75, atol=1e-15)
 
     def test_ranges(self):
         x = Tensor(np.linspace(-50, 50, 101))
-        s = ad.sigmoid(x).data
+        s = sigmoid(x).data
         t = tanh(x).data
         assert np.all((s >= 0) & (s <= 1))
         assert np.all((t >= -1) & (t <= 1))
@@ -121,21 +132,21 @@ class TestMaskedSoftmax:
 class TestConcat:
     def test_single_part_identity(self):
         a = Tensor(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(ad.concat_features([a]).data, a.data)
+        np.testing.assert_array_equal(concat_features([a]).data, a.data)
 
     def test_zeros(self):
-        out = ad.concat_features([Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3)))])
+        out = concat_features([Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3)))])
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_index_arithmetic(self):
         a = Tensor([[1.0], [2.0]])
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        out = ad.concat_features([a, b])
+        out = concat_features([a, b])
         np.testing.assert_array_equal(out.data, [[1, 3, 4], [2, 5, 6]])
 
     def test_leading_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.concat_features([Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1)))])
+            concat_features([Tensor(np.ones((2, 1))), Tensor(np.ones((3, 1)))])
 
 
 class TestBackward:
@@ -160,7 +171,7 @@ class TestBackward:
         q = Tensor(rng.uniform(-1, 1, (3, 2)), trainable=True)
 
         def f():
-            return tensor_sum(ad.sigmoid(ad.matmul(p, q)))
+            return tensor_sum(sigmoid(matmul(p, q)))
 
         err = grad_check(f, [p, q], eps=1e-5)
         assert err < 1e-6
@@ -175,7 +186,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         p = Tensor(np.ones(3), trainable=True)
         with Tape() as tape:
-            out = ad.sigmoid(p)
+            out = sigmoid(p)
         with pytest.raises(ShapeError):
             backward(out, tape)
 
@@ -245,8 +256,8 @@ class TestGradCheck:
 
 
 def test_every_op_gradient_vs_finite_differences():
-    """Randomized check across all differentiable primitives, the oracle-only
-    ops of ``verify`` included."""
+    """Randomized check across all generic tape ops: ``add_scalars`` and the
+    oracle ops of ``verify``."""
     rng = np.random.default_rng(4)
     a = Tensor(rng.uniform(-1, 1, (3, 4)), trainable=True)
     b = Tensor(rng.uniform(-1, 1, (4, 3)), trainable=True)
@@ -257,12 +268,12 @@ def test_every_op_gradient_vs_finite_differences():
     factors = rng.uniform(-2, 2, (3, 3))
 
     def f():
-        m = ad.add(ad.matmul(a, b), bias)
+        m = add(matmul(a, b), bias)
         m = mul(tanh(m), col)
         sm = masked_softmax(scores, mask)
-        cat = ad.concat_features([m, sm, ad.mul_const(m, factors)])
+        cat = concat_features([m, sm, mul_const(m, factors)])
         return ad.add_scalars(
-            [tensor_sum(ad.sigmoid(cat)), tensor_sum(ad.mul_const(mul(a, a), 0.1))]
+            [tensor_sum(sigmoid(cat)), tensor_sum(mul_const(mul(a, a), 0.1))]
         )
 
     err = grad_check(f, [a, b, bias, col, scores], eps=1e-5)

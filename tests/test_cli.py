@@ -1,9 +1,13 @@
 import io
+import os
 import re
+import shutil
 import struct
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from panemo.training import TrainingConfig
 from panemo.verify import build_downsized
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 WORDS = ["happy", "angry", "sad", "calm", "wow", "meh", "yay", "ugh"]
 
 
@@ -131,7 +136,7 @@ def test_gradcheck_train_mode(capsys):
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
 
 
 EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
@@ -498,3 +503,47 @@ def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, 
             assert code in (0, 1), f"mutant {i} of {target}, {argv[0]}: {err}"
             if code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, f"mutant {i} of {target}: {err}"
+
+
+# Process-level boundaries, kept out of the in-process mutation runs above.
+PANEMO = [sys.executable, "-m", "panemo.cli"]
+
+
+def child_env(**extra):
+    """The environment of a ``panemo`` child process: the package source, BLAS pinned to one thread."""
+    return {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", **extra}
+
+
+def test_closed_stdout_exits_141_silently(workspace, capsys):
+    """A reader that stops after one line (``panemo predict ... | head -1``)
+    ends the run with 128 + SIGPIPE and nothing on stderr."""
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
+    (workspace / "tweets.txt").write_text("happy wow sad\n" * 3000)  # far more output than a pipe holds
+    proc = subprocess.Popen(
+        PANEMO + PREDICT, cwd=workspace, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline().startswith(b"happy wow sad\t")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_train_bytes_identical_across_processes(workspace):
+    """Two training processes with different hash seeds, at the same pinned
+    BLAS thread count, write the same checkpoint bytes and logged losses."""
+    config = (workspace / "run.cfg").read_text()
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = workspace / f"hashseed-{hash_seed}"
+        out.mkdir()
+        for name in ("train.tsv", "dev.tsv"):
+            shutil.copy(workspace / name, out)
+        (out / "run.cfg").write_text(config.replace(str(workspace), str(out)))  # inputs and outputs in out
+        result = subprocess.run(
+            PANEMO + RUN, cwd=out, env=child_env(PYTHONHASHSEED=hash_seed), capture_output=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        losses = [line.rsplit("\t", 1)[0] for line in (out / "log.tsv").read_text().splitlines()]
+        runs.append(((out / "best.ckpt").read_bytes(), losses))
+    assert runs[0] == runs[1]

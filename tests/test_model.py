@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ class TestBigruLayer:
 
 
 class TestFusedOracle:
-    """The fused sequence layers against the per-step tape oracles in verify."""
+    """The fused model ops against their tape oracles in verify."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bigru_matches_per_step_oracle(self, seed):
@@ -196,6 +198,18 @@ class TestFusedOracle:
         p = AttentionParams(w_a=Tensor(np.ones((2, 1))), b=Tensor(np.zeros(1)))
         with pytest.raises(EmptySequenceError):
             attention_pool([u], p, Packing(mask))
+
+    @pytest.mark.parametrize("scale", verify.HEAD_SCALES)
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_head_matches_composed_ops_bit_for_bit(self, dropout, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases = [verify.compare_fused_head(seed, dropout, scale) for seed in range(20)]
+        for fused, oracle in cases:  # y and the gradients of v1, v2, W_d and b_d
+            assert all(np.array_equal(f, o) for f, o in zip(fused, oracle, strict=True))
+        if scale > 709:  # y is exactly 0 only where a logit is below -709 and exp(-z) overflows
+            y = np.concatenate([fused[0] for fused, _ in cases])
+            assert (y == 0.0).any() and (y == 1.0).any()
 
     def test_frozen_input_gets_no_gradient(self):
         rng = np.random.default_rng(16)

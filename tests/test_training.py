@@ -349,9 +349,10 @@ class TestTrain:
         assert lines[0] == "epoch\ttrain_loss\tval_loss\tlr\telapsed_seconds"
         assert len(lines) == 1 + len(log.epochs)
 
-    def test_train_mode_step_records_twelve_entries(self, monkeypatch):
+    def test_train_mode_step_records_eight_entries(self, monkeypatch):
         """With dropout, spatial dropout, weight noise and L2 on, a step's tape
-        holds the model's 9 ops, the BCE, the L2 penalty and their sum."""
+        holds the model's 5 ops (two BiGRU layers, two attention layers and
+        the head), the BCE, the L2 penalty and their sum."""
         counts = []
         replay = ad.backward
 
@@ -364,7 +365,7 @@ class TestTrain:
         assert config.dropout_dense and config.spatial_dropout and config.weight_noise_std and config.l2_coeff
         dataset = make_synthetic_dataset(12, seed=6)
         train(dataset, dataset, config, build_downsized(seed=6))
-        assert counts == [12, 12, 12]
+        assert counts == [8, 8, 8]
 
     def test_empty_dataset_rejected(self):
         from panemo.textprep import Dataset
