@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CheckpointError
 from .metrics import valid_threshold
 from .model import ModelConfig, ModelParams, param_layout, params_from_arrays
-from .textprep import Vocabulary
+from .textprep import NUM_EMOTIONS, Vocabulary
 from .training import TrainingConfig
 
 MAGIC = b"PANCKPT1"
@@ -35,7 +35,8 @@ MAGIC = b"PANCKPT1"
 # sanity bound: no tensor in this model has a dimension anywhere near this
 _MAX_DIM = 1 << 32
 
-# config keys that fix the model's tensor shapes
+# config keys that fix the model's tensor shapes; n_labels, the head's width,
+# is fixed by the data format, so any value but NUM_EMOTIONS is rejected
 _MODEL_KEYS = ("d_emb", "hidden", "n_labels")
 
 
@@ -45,7 +46,8 @@ def _positive_int(value) -> bool:
 
 # the allowed values of the config keys that inference reads
 _CONFIG_CHECKS = {
-    **dict.fromkeys((*_MODEL_KEYS, "max_len"), (_positive_int, "a positive integer")),
+    **dict.fromkeys(("d_emb", "hidden", "max_len"), (_positive_int, "a positive integer")),
+    "n_labels": (lambda v: _positive_int(v) and v == NUM_EMOTIONS, f"{NUM_EMOTIONS}, the number of emotions"),
     "threshold": (valid_threshold, "a finite number in [0, 1]"),
 }
 
@@ -81,7 +83,7 @@ def save_checkpoint(
     config_lines += [
         f"d_emb={params.config.d_emb}",
         f"hidden={params.config.hidden}",
-        f"n_labels={params.config.n_labels}",
+        f"n_labels={NUM_EMOTIONS}",
     ]
     for key, val in sorted((extra_config or {}).items()):
         config_lines.append(f"{key}={val!r}")
@@ -163,7 +165,7 @@ def load_checkpoint(path):
     for key, (allowed, words) in _CONFIG_CHECKS.items():
         if key in config and not allowed(config[key]):
             raise CheckpointError(f"{path}: config key {key}={config[key]!r} is not {words}")
-    model_config = ModelConfig(**{key: config[key] for key in _MODEL_KEYS})
+    model_config = ModelConfig(d_emb=config["d_emb"], hidden=config["hidden"])
     embedding = tensors.get("embedding")
     if embedding is not None and embedding.shape[:1] != (len(vocab),):
         raise CheckpointError(

@@ -50,7 +50,6 @@ class AttentionParams:
 class ModelConfig:
     d_emb: int = 300
     hidden: int = 50  # per direction
-    n_labels: int = NUM_EMOTIONS
 
     @property
     def d_h(self) -> int:
@@ -128,7 +127,7 @@ def param_layout(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, .
                 layout[f"{layer}.{direction}.{name}"] = shape
     for layer, d_u in (("attn1", config.d_u1), ("attn2", config.d_u2)):
         layout[f"{layer}.w_a"], layout[f"{layer}.b"] = (d_u, 1), (1,)
-    layout["dense.W_d"], layout["dense.b_d"] = (config.d_v, config.n_labels), (config.n_labels,)
+    layout["dense.W_d"], layout["dense.b_d"] = (config.d_v, NUM_EMOTIONS), (NUM_EMOTIONS,)
     return layout
 
 
@@ -632,7 +631,7 @@ def forward(
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Full forward pass over a (B, T) batch.
 
-    Returns (yhat (B, n_labels), attention weights layer 1 (B, T), layer 2).
+    Returns (yhat (B, NUM_EMOTIONS), attention weights layer 1 (B, T), layer 2).
     A training step passes inverted-dropout keep masks from ``dropout_mask``:
     ``spatial_keep`` (B, d_emb) scales each example's embedding channels at
     every position, ``dense_keep`` (B, d_v) the pooled vector before the
@@ -665,7 +664,7 @@ def forward(
 
 
 def predict_scores(dataset_indices, dataset_mask, params, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode (n, n_labels) scores over a whole dataset, in its row order.
+    """Eval-mode (n, NUM_EMOTIONS) scores over a whole dataset, in its row order.
 
     Rows are batched by length: ranked by end (stable, longest first), that
     order is cut into ceil(n / batch_size) batches of about equal scanned
@@ -676,7 +675,7 @@ def predict_scores(dataset_indices, dataset_mask, params, batch_size: int = 64) 
     batch_size rows.
     """
     n = dataset_indices.shape[0]
-    out = np.zeros((n, params.config.n_labels))
+    out = np.zeros((n, NUM_EMOTIONS))
     if n == 0:
         return out
     ends = row_ends(dataset_mask)

@@ -1,4 +1,5 @@
-"""Loss, regularization, Adam, LR schedule, early stopping, and the epoch loop."""
+"""Loss, regularization, the train-mode batch loss, Adam, and the epoch loop
+with its learning-rate halving and early stopping."""
 
 from __future__ import annotations
 
@@ -106,7 +107,9 @@ def l2_penalty(params: ModelParams, coeff: float) -> Tensor:
     if coeff == 0.0:
         return Tensor(0.0)
     weights = params.weight_matrices()
-    out = Tensor(sum(float((w.data * w.data).sum()) for w in weights) * coeff)
+    # a diverging run's weights square to inf; train() reports the loss
+    with np.errstate(over="ignore"):
+        out = Tensor(sum(float((w.data * w.data).sum()) for w in weights) * coeff)
 
     def bwd():
         g = out.grad
@@ -201,7 +204,6 @@ class TrainingLog:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_val_loss: float = float("inf")
     best_epoch: int = -1
-    consecutive_failures: int = 0
 
     def to_tsv(self) -> str:
         lines = ["epoch\ttrain_loss\tval_loss\tlr\telapsed_seconds"]
@@ -211,30 +213,6 @@ class TrainingLog:
                 f"\t{r.lr:.10g}\t{r.elapsed_seconds:.3f}"
             )
         return "\n".join(lines) + "\n"
-
-
-def lr_schedule_update(log: TrainingLog, lr: float, config: TrainingConfig) -> float:
-    """Halve the rate after `lr_halve_patience` consecutive validation failures.
-
-    A failure is a validation loss not strictly below the best so far; the
-    counter resets on success or on a halving. The rate never drops below
-    ``lr_floor``. Call once per epoch, after the epoch record is appended
-    and before ``best_val_loss`` is updated with the current epoch.
-    """
-    latest = log.epochs[-1].val_loss
-    if latest < log.best_val_loss:
-        log.consecutive_failures = 0
-    else:
-        log.consecutive_failures += 1
-        if log.consecutive_failures >= config.lr_halve_patience:
-            lr = max(lr / 2.0, config.lr_floor)
-            log.consecutive_failures = 0
-    return lr
-
-
-def early_stop_check(log: TrainingLog, patience: int) -> bool:
-    """True when validation loss has not improved for `patience` epochs."""
-    return log.epochs[-1].epoch - log.best_epoch >= patience
 
 
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
@@ -257,6 +235,26 @@ def _keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray | None:
     return dropout_mask(shape, p, rng) if p > 0.0 else None
 
 
+def batch_loss(
+    params: ModelParams, indices: np.ndarray, mask: np.ndarray, labels: np.ndarray, config: TrainingConfig,
+    noise_rng, spatial_rng, dropout_rng, ws: Workspace | None = None,
+) -> Tensor:
+    """The train-mode loss of one batch, on the active tape: hidden-weight
+    noise, then the spatial and dense dropout masks, each drawn from its own
+    stream; the forward on the noisy weights; weighted BCE plus L2 on the
+    clean ones."""
+    batch, shapes = len(indices), params.config
+    noisy = perturb_hidden_weights(params, config.weight_noise_std, noise_rng)
+    # the masks are passed straight in, so they are freed with the forward
+    yhat, _, _ = forward(
+        indices, mask, noisy,
+        _keep_mask((batch, shapes.d_emb), config.spatial_dropout, spatial_rng),
+        _keep_mask((batch, shapes.d_v), config.dropout_dense, dropout_rng),
+        ws,
+    )
+    return ad.add_scalars([weighted_bce(yhat, labels, config.pos_weight), l2_penalty(params, config.l2_coeff)])
+
+
 def evaluate_loss(dataset: Dataset, params: ModelParams, config: TrainingConfig) -> float:
     """Eval-mode weighted BCE over a dataset (no L2, no regularizer noise)."""
     idx, msk, lab = dataset.arrays()
@@ -273,6 +271,12 @@ def train(
 ) -> tuple[ModelParams, TrainingLog]:
     """Full training loop; returns params restored to the best-epoch snapshot.
 
+    Each epoch ends with one dev evaluation. A dev loss strictly below the
+    best so far makes the epoch the best one; any other counts as a failure,
+    and ``lr_halve_patience`` failures in a row halve the rate (never below
+    ``lr_floor``) and restart the count. Training stops once
+    ``early_stop_patience`` epochs have passed since the best one.
+
     Deterministic given (config.seed, data): shuffling, dropout, and weight
     noise each draw from their own seeded stream.
     """
@@ -284,7 +288,6 @@ def train(
     embedding_before = _digest(params.embedding.data)
 
     trainable = [t for _, t in params.trainable_parameters()]
-    d_emb, d_v = params.config.d_emb, params.config.d_v
     state = AdamState.for_params(trainable)
     shuffle_rng = stream_rng(config.seed, STREAM_SHUFFLE)
     dropout_rng = stream_rng(config.seed, STREAM_DROPOUT)
@@ -305,22 +308,7 @@ def train(
             for t in trainable:
                 t.zero_grad()
             with ad.Tape() as tape:
-                noisy = perturb_hidden_weights(params, config.weight_noise_std, noise_rng)
-                # passed straight in, so the spatial mask is freed with the forward
-                yhat, _, _ = forward(
-                    idx[sel],
-                    msk[sel],
-                    noisy,
-                    _keep_mask((len(sel), d_emb), config.spatial_dropout, spatial_rng),
-                    _keep_mask((len(sel), d_v), config.dropout_dense, dropout_rng),
-                    ws,
-                )
-                loss = ad.add_scalars(
-                    [
-                        weighted_bce(yhat, lab[sel], config.pos_weight),
-                        l2_penalty(params, config.l2_coeff),
-                    ]
-                )
+                loss = batch_loss(params, idx[sel], msk[sel], lab[sel], config, noise_rng, spatial_rng, dropout_rng, ws)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(
@@ -334,6 +322,7 @@ def train(
     log = TrainingLog()
     lr = config.lr_init
     best_snapshot = _snapshot(params)
+    failures = 0
     t0 = time.monotonic()
 
     for epoch in range(1, config.max_epochs + 1):
@@ -342,13 +331,16 @@ def train(
         log.epochs.append(
             EpochRecord(epoch, epoch_loss, val_loss, lr, time.monotonic() - t0)
         )
-        # schedule compares against the best of *previous* epochs
-        lr = lr_schedule_update(log, lr, config)
         if val_loss < log.best_val_loss:
             log.best_val_loss = val_loss
             log.best_epoch = epoch
             best_snapshot = _snapshot(params)
-        if early_stop_check(log, config.early_stop_patience):
+            failures = 0
+        else:
+            failures += 1
+            if failures == config.lr_halve_patience:
+                lr, failures = max(lr / 2.0, config.lr_floor), 0
+        if epoch - log.best_epoch >= config.early_stop_patience:
             break
 
     _restore(params, best_snapshot)

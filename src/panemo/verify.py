@@ -50,13 +50,7 @@ from .textprep import (
     random_embeddings,
     tokenize,
 )
-from .training import (
-    TrainingConfig,
-    l2_penalty,
-    noisy_weight,
-    perturb_hidden_weights,
-    weighted_bce,
-)
+from .training import TrainingConfig, batch_loss, noisy_weight
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +113,10 @@ def build_downsized(seed: int, emb_scale: float = 0.05, **overrides) -> ModelPar
     return init_params(emb, ModelConfig(d_emb=cfg["d_emb"], hidden=cfg["hidden"]), seed)
 
 
-def _gradcheck_batch(seed: int):
-    """Downsized params and one ragged, PAD-filled batch with random labels."""
+def _gradcheck(seed: int, eps: float, regime: TrainingConfig, rngs: Callable[[], tuple]) -> float:
+    """``grad_check`` of ``batch_loss`` under ``regime`` on the downsized
+    params of ``seed`` and one ragged, PAD-filled batch with random labels;
+    ``rngs`` gives each evaluation its noise, spatial and dense dropout streams."""
     cfg = DOWNSIZED
     params = build_downsized(seed)
     rng = np.random.default_rng(seed + 1)
@@ -129,50 +125,29 @@ def _gradcheck_batch(seed: int):
     mask = np.array([[1.0] * n + [0.0] * (cfg["T"] - n) for n in lengths])
     indices = indices * (mask.astype(np.int64))  # padded positions -> PAD
     labels = rng.integers(0, 2, size=(cfg["batch"], NUM_EMOTIONS)).astype(np.float64)
-    return params, indices, mask, labels
+    trainable = [t for _, t in params.trainable_parameters()]
+    return grad_check(lambda: batch_loss(params, indices, mask, labels, regime, *rngs()), trainable, eps=eps)
 
 
 def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
     """Max relative error of analytic vs central-difference gradients on a
     downsized model with all regularizer randomness disabled."""
-    params, indices, mask, labels = _gradcheck_batch(seed)
-
-    def loss_fn():
-        yhat, _, _ = forward(indices, mask, params)
-        return ad.add_scalars(
-            [weighted_bce(yhat, labels, 2.0), l2_penalty(params, l2_coeff)]
-        )
-
-    trainable = [t for _, t in params.trainable_parameters()]
-    return grad_check(loss_fn, trainable, eps=eps)
+    regime = TrainingConfig(dropout_dense=0.0, spatial_dropout=0.0, weight_noise_std=0.0, l2_coeff=l2_coeff)
+    return _gradcheck(seed, eps, regime, lambda: (None, None, None))
 
 
 def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
-    """``downsized_gradcheck`` through the train-mode forward of one step.
+    """``downsized_gradcheck`` through the train-mode loss of one step.
 
     Spatial dropout, dense dropout and Gaussian hidden-weight noise are on at
-    the default training rates. The dropout masks are drawn once, and every
-    evaluation of the loss draws the noise from a freshly seeded stream, so
-    all draws are held fixed while the finite differences move the clean
-    weights underneath the noise.
+    the default training rates. Every evaluation of the loss draws them from
+    freshly seeded streams, so all draws are held fixed while the finite
+    differences move the clean weights underneath the noise.
     """
-    params, indices, mask, labels = _gradcheck_batch(seed)
-    regime = TrainingConfig()
-    batch, config = len(indices), params.config
-    spatial_keep = dropout_mask((batch, config.d_emb), regime.spatial_dropout, np.random.default_rng(seed + 3))
-    dense_keep = dropout_mask((batch, config.d_v), regime.dropout_dense, np.random.default_rng(seed + 4))
-
-    def loss_fn():
-        noisy = perturb_hidden_weights(
-            params, regime.weight_noise_std, np.random.default_rng(seed + 2)
-        )
-        yhat, _, _ = forward(indices, mask, noisy, spatial_keep, dense_keep)
-        return ad.add_scalars(
-            [weighted_bce(yhat, labels, 2.0), l2_penalty(params, l2_coeff)]
-        )
-
-    trainable = [t for _, t in params.trainable_parameters()]
-    return grad_check(loss_fn, trainable, eps=eps)
+    regime = TrainingConfig(l2_coeff=l2_coeff)
+    return _gradcheck(
+        seed, eps, regime, lambda: tuple(np.random.default_rng(seed + k) for k in (2, 3, 4))
+    )
 
 
 # ---------------------------------------------------------------------------

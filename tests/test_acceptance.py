@@ -94,27 +94,18 @@ def test_criterion_4_attention_invariant_suite():
     assert pad_worst < 1e-12
 
 
-def test_criterion_5_schedule_trace():
-    from panemo.training import EpochRecord, TrainingLog, lr_schedule_update
-
-    config = TrainingConfig(seed=0)  # lr 0.001, halve per 3 failures, floor 0.0001
-    log = TrainingLog()
-    lr = config.lr_init
-    lr_trace = [lr]
-    losses = [1.0] + [1.0 + 0.1 * i for i in range(1, 13)]  # 12 straight failures
-    for epoch, vl in enumerate(losses, start=1):
-        log.epochs.append(EpochRecord(epoch, 0.0, vl, lr, 0.0))
-        lr = lr_schedule_update(log, lr, config)
-        lr_trace.append(lr)
-        if vl < log.best_val_loss:
-            log.best_val_loss = vl
-            log.best_epoch = epoch
+def test_criterion_5_schedule_trace(train_scripted):
+    # lr 0.001, halve per 3 failures, floor 0.0001; epoch 14 runs at the rate
+    # set by 12 straight failures, with early stopping out of reach
+    log = train_scripted([1.0] + [1.0 + 0.1 * i for i in range(1, 14)], early_stop_patience=14)
+    lr_trace = [r.lr for r in log.epochs]
     distinct = sorted(set(lr_trace), reverse=True)
     expected = [0.001, 0.0005, 0.00025, 0.000125, 0.0001]
     ok = distinct == expected and lr_trace[-1] == 0.0001
     report("5 schedule trace", ok, " -> ".join(str(v) for v in distinct))
-    assert distinct == expected
-    assert lr_trace[4] == 0.0005  # first halving lands after epoch 4
+    assert distinct == expected and lr_trace[-1] == 0.0001
+    assert lr_trace[3:5] == [0.001, 0.0005]  # first halving lands after epoch 4
+    assert (len(log.epochs), log.best_epoch) == (14, 1)
 
 
 def test_criterion_6_frozen_embedding_contract():

@@ -164,13 +164,17 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
     ],
 )
 def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
+    """Each exits 1 with one error line on stderr and no numpy warning; a
+    diverging run's overflow is reported only as the divergence."""
     with open(workspace / "run.cfg", "a") as fh:
         fh.write(config_line)
     with open(workspace / "dev.tsv", "a") as fh:
         fh.write(dev_row)
-    assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
     assert not (workspace / "best.ckpt").exists()
     assert not (workspace / "log.tsv").exists()
 
@@ -337,6 +341,10 @@ def _short_vocabulary(params, tokens, extra):
     tokens.pop()
 
 
+def _five_labels(params, tokens, extra):
+    params.W_d.data, params.b_d.data = params.W_d.data[:, :5], params.b_d.data[:5]
+
+
 def _record_dims(name: bytes, old: tuple, new: tuple):
     """The bytes replacement that changes a record's dims from old to new."""
     head = name + struct.pack("<I", len(old))
@@ -355,6 +363,10 @@ def _max_len(value):
     [
         pytest.param(None, (b"n_labels=", b"x_labels="), "missing key 'n_labels'", id="missing config key"),
         pytest.param(None, (b"hidden=4", b"hidden=x"), "hidden='x'", id="bad config value"),
+        # a consistent 5-wide head; the trailing space keeps the config block's length
+        pytest.param(
+            _five_labels, (b"n_labels=11", b"n_labels=5 "), "n_labels=5 is not 11", id="head of 5 labels"
+        ),
         pytest.param(
             _wrong_shape, None, "record attn2.w_a has shape (7, 1), expected (24, 1)", id="tensor shape"
         ),

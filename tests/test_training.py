@@ -7,14 +7,10 @@ from panemo.errors import ShapeError
 from panemo.model import Packing, dropout_mask, forward, params_from_arrays
 from panemo.training import (
     AdamState,
-    EpochRecord,
     TrainingConfig,
-    TrainingLog,
     adam_step,
-    early_stop_check,
     evaluate_loss,
     l2_penalty,
-    lr_schedule_update,
     perturb_hidden_weights,
     train,
     weighted_bce,
@@ -244,61 +240,54 @@ class TestAdam:
             np.testing.assert_allclose(p.data[0], theta, atol=1e-12)
 
 
-def make_log(val_losses, lr_init=0.001):
-    """Run the schedule over a validation-loss sequence, returning lr history."""
-    config = TrainingConfig(lr_init=lr_init, seed=0)
-    log = TrainingLog()
-    lr = lr_init
-    lrs = []
-    for epoch, vl in enumerate(val_losses, start=1):
-        log.epochs.append(EpochRecord(epoch, 0.0, vl, lr, 0.0))
-        lr = lr_schedule_update(log, lr, config)
-        lrs.append(lr)
-        if vl < log.best_val_loss:
-            log.best_val_loss = vl
-            log.best_epoch = epoch
-    return log, lrs
+def lrs(log):
+    """The learning rate each epoch ran at."""
+    return [r.lr for r in log.epochs]
 
 
 class TestLrSchedule:
-    def test_all_successes_keep_lr(self):
-        _, lrs = make_log([1.0, 0.9, 0.8])
-        assert lrs == [0.001, 0.001, 0.001]
+    def test_all_successes_keep_lr(self, train_scripted):
+        log = train_scripted([1.0, 0.9, 0.8])
+        assert lrs(log) == [0.001, 0.001, 0.001]
+        assert (len(log.epochs), log.best_epoch) == (3, 3)
 
-    def test_three_failures_halve(self):
-        _, lrs = make_log([1.0, 1.1, 1.2, 1.3])
-        assert lrs == [0.001, 0.001, 0.001, 0.0005]
+    def test_three_failures_halve(self, train_scripted):
+        log = train_scripted([1.0, 1.1, 1.2, 1.3, 1.4])
+        assert lrs(log) == [0.001, 0.001, 0.001, 0.001, 0.0005]
+        assert (len(log.epochs), log.best_epoch) == (5, 1)
 
-    def test_twelve_failures_hit_floor(self):
-        _, lrs = make_log([1.0] + [1.0 + 0.1 * i for i in range(1, 13)])
-        assert lrs[-1] == 0.0001
-        distinct = sorted(set(lrs), reverse=True)
+    def test_twelve_failures_hit_floor(self, train_scripted):
+        log = train_scripted([1.0] + [1.0 + 0.1 * i for i in range(1, 14)], early_stop_patience=14)
+        assert lrs(log)[-1] == 0.0001
+        distinct = sorted(set(lrs(log)), reverse=True)
         assert distinct == [0.001, 0.0005, 0.00025, 0.000125, 0.0001]
+        assert (len(log.epochs), log.best_epoch) == (14, 1)
 
-    def test_success_resets_counter(self):
-        _, lrs = make_log([1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 1.2])
+    def test_success_resets_counter(self, train_scripted):
+        log = train_scripted([1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 1.2, 1.3])
         # two failures, success, then three more failures before a halve
-        assert lrs == [0.001] * 6 + [0.0005]
+        assert lrs(log) == [0.001] * 7 + [0.0005]
+        assert (len(log.epochs), log.best_epoch) == (8, 4)
 
-    def test_lr_non_increasing(self):
-        rng = np.random.default_rng(6)
-        _, lrs = make_log(list(rng.uniform(0.5, 1.5, 30)))
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-        assert min(lrs) >= 0.0001
+    def test_lr_non_increasing(self, train_scripted):
+        losses = list(np.random.default_rng(6).uniform(0.5, 1.5, 30))
+        log = train_scripted(losses, early_stop_patience=30)
+        assert all(a >= b for a, b in zip(lrs(log), lrs(log)[1:]))
+        assert min(lrs(log)) >= 0.0001
+        assert (len(log.epochs), log.best_epoch) == (30, int(np.argmin(losses)) + 1)
 
 
 class TestEarlyStop:
-    def test_monotone_never_stops(self):
-        log, _ = make_log([1.0, 0.9, 0.8, 0.7])
-        assert not early_stop_check(log, patience=10)
+    def test_monotone_never_stops(self, train_scripted):
+        log = train_scripted([1.0, 0.9, 0.8, 0.7])
+        assert lrs(log) == [0.001] * 4
+        assert (len(log.epochs), log.best_epoch) == (4, 4)
 
-    def test_counting(self):
-        losses = [1.0, 0.9, 0.8] + [0.85] * 10
-        log, _ = make_log(losses)
-        # best at epoch 3, 10 stale epochs -> stop after epoch 13
-        assert early_stop_check(log, patience=10)
-        log.epochs.pop()
-        assert not early_stop_check(log, patience=10)
+    def test_counting(self, train_scripted):
+        log = train_scripted([1.0, 0.9, 0.8] + [0.85] * 11)
+        # best at epoch 3, 10 stale epochs -> stop after epoch 13 of 14
+        assert lrs(log) == [0.001] * 6 + [0.0005] * 3 + [0.00025] * 3 + [0.000125]
+        assert (len(log.epochs), log.best_epoch) == (13, 3)
 
 
 class TestTrain:
