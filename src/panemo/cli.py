@@ -42,7 +42,7 @@ _RUN_DEFAULTS = {
 def load_run_config(path) -> dict:
     """Flat key=value UTF-8 config file. Unknown keys are errors."""
     config = dict(_RUN_DEFAULTS)
-    for lineno, line in enumerate(textprep.read_text(path, ConfigError).splitlines(), start=1):
+    for lineno, line in enumerate(textprep.split_lines(textprep.read_text(path, ConfigError)), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -178,7 +178,7 @@ def cmd_predict(args) -> int:
         if args.input
         else textprep.decode_text(sys.stdin.buffer.read(), "<stdin>")
     )
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in textprep.split_lines(text) if line.strip()]
     if not lines:
         return 0
     indices, masks = zip(*(textprep.encode(textprep.tokenize(line), vocab, max_len) for line in lines))
@@ -194,7 +194,7 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check = verify.train_mode_gradcheck if args.train_mode else verify.downsized_gradcheck
-    err = check(seed=args.seed, eps=args.eps)
+    err = check(seed=args.seed)
     print(f"max relative error: {err:.3e}")
     return 0 if err < 1e-4 else 2
 
@@ -208,8 +208,17 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are user errors: the usage line,
+    then ``main``'s one ``error:`` line and exit status 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="panemo",
         description="Multi-label tweet emotion detection with pyramid attention pooling.",
     )
@@ -231,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check, downsized model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument(
         "--train-mode",
         action="store_true",
@@ -248,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return status

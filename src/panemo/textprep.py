@@ -64,6 +64,19 @@ def read_text(path, error: type[Exception] = ParseError) -> str:
     return decode_text(Path(path).read_bytes(), path, error)
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by LF, CR LF, a lone CR or the end of
+    the text: the universal newlines of text-mode files. Unlike
+    ``str.splitlines``, it keeps U+2028, U+0085, form feeds and the other
+    Unicode line boundaries inside their line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def tokenize(text: str) -> list[str]:
     """Normalize a raw tweet into a token list.
 
@@ -169,7 +182,7 @@ def load_semeval_tsv(path) -> RawDataset:
     no positions to attend over otherwise). Raises ParseError with the
     offending row number, or naming the file when it has no data rows.
     """
-    lines = read_text(path).splitlines()
+    lines = split_lines(read_text(path))
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header row")
     header = lines[0].split("\t")
@@ -271,11 +284,11 @@ def _parse_vectors(path, texts: list[str], lines: list[int], d_emb: int) -> np.n
 def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> EmbeddingMatrix:
     """Read "word v1 ... v_d" lines; fill missing rows from a seeded PRNG.
 
-    Every line must hold d_emb values. In-file vectors are copied verbatim,
-    the last line of a repeated word winning; a non-numeric value on a copied
-    line, or a non-finite value in a copied vector, is a ParseError naming
-    the line. The PAD row stays zero; UNK and out-of-file words get i.i.d.
-    uniform(-0.05, 0.05) entries.
+    Empty lines are skipped; every other line must hold d_emb values. In-file
+    vectors are copied verbatim, the last line of a repeated word winning; a
+    non-numeric value on a copied line, or a non-finite value in a copied
+    vector, is a ParseError naming the line. The PAD row stays zero; UNK and
+    out-of-file words get i.i.d. uniform(-0.05, 0.05) entries.
     """
     weights = random_embeddings(len(vocab), d_emb, seed).weights
     # vocabulary row, source line and value text of every line to copy
@@ -286,7 +299,7 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 n_values = line.count(" ")  # one space before each value
-                if not n_values:
+                if not n_values and line == "\n":
                     continue
                 if n_values != d_emb:
                     _parse_vectors(path, texts, lines, d_emb)  # an earlier non-numeric line comes first

@@ -58,10 +58,15 @@ from .training import TrainingConfig, batch_loss, noisy_weight
 # ---------------------------------------------------------------------------
 
 
+# Step of the central differences; L2 coefficient of the downsized gradchecks.
+GRADCHECK_EPS = 1e-5
+GRADCHECK_L2 = 1e-3
+
+
 def grad_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
-    eps: float = 1e-5,
+    eps: float = GRADCHECK_EPS,
 ) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
@@ -107,13 +112,12 @@ def grad_check(
 DOWNSIZED = dict(vocab_size=20, d_emb=8, hidden=4, T=5, batch=2)
 
 
-def build_downsized(seed: int, emb_scale: float = 0.05, **overrides) -> ModelParams:
-    cfg = {**DOWNSIZED, **overrides}
-    emb = random_embeddings(cfg["vocab_size"], cfg["d_emb"], seed, scale=emb_scale)
-    return init_params(emb, ModelConfig(d_emb=cfg["d_emb"], hidden=cfg["hidden"]), seed)
+def build_downsized(seed: int, emb_scale: float = 0.05) -> ModelParams:
+    emb = random_embeddings(DOWNSIZED["vocab_size"], DOWNSIZED["d_emb"], seed, scale=emb_scale)
+    return init_params(emb, ModelConfig(d_emb=DOWNSIZED["d_emb"], hidden=DOWNSIZED["hidden"]), seed)
 
 
-def _gradcheck(seed: int, eps: float, regime: TrainingConfig, rngs: Callable[[], tuple]) -> float:
+def _gradcheck(seed: int, regime: TrainingConfig, rngs: Callable[[], tuple]) -> float:
     """``grad_check`` of ``batch_loss`` under ``regime`` on the downsized
     params of ``seed`` and one ragged, PAD-filled batch with random labels;
     ``rngs`` gives each evaluation its noise, spatial and dense dropout streams."""
@@ -126,17 +130,17 @@ def _gradcheck(seed: int, eps: float, regime: TrainingConfig, rngs: Callable[[],
     indices = indices * (mask.astype(np.int64))  # padded positions -> PAD
     labels = rng.integers(0, 2, size=(cfg["batch"], NUM_EMOTIONS)).astype(np.float64)
     trainable = [t for _, t in params.trainable_parameters()]
-    return grad_check(lambda: batch_loss(params, indices, mask, labels, regime, *rngs()), trainable, eps=eps)
+    return grad_check(lambda: batch_loss(params, indices, mask, labels, regime, *rngs()), trainable)
 
 
-def downsized_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
+def downsized_gradcheck(seed: int = 0) -> float:
     """Max relative error of analytic vs central-difference gradients on a
     downsized model with all regularizer randomness disabled."""
-    regime = TrainingConfig(dropout_dense=0.0, spatial_dropout=0.0, weight_noise_std=0.0, l2_coeff=l2_coeff)
-    return _gradcheck(seed, eps, regime, lambda: (None, None, None))
+    regime = TrainingConfig(dropout_dense=0.0, spatial_dropout=0.0, weight_noise_std=0.0, l2_coeff=GRADCHECK_L2)
+    return _gradcheck(seed, regime, lambda: (None, None, None))
 
 
-def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-3) -> float:
+def train_mode_gradcheck(seed: int = 0) -> float:
     """``downsized_gradcheck`` through the train-mode loss of one step.
 
     Spatial dropout, dense dropout and Gaussian hidden-weight noise are on at
@@ -144,10 +148,8 @@ def train_mode_gradcheck(seed: int = 0, eps: float = 1e-5, l2_coeff: float = 1e-
     freshly seeded streams, so all draws are held fixed while the finite
     differences move the clean weights underneath the noise.
     """
-    regime = TrainingConfig(l2_coeff=l2_coeff)
-    return _gradcheck(
-        seed, eps, regime, lambda: tuple(np.random.default_rng(seed + k) for k in (2, 3, 4))
-    )
+    regime = TrainingConfig(l2_coeff=GRADCHECK_L2)
+    return _gradcheck(seed, regime, lambda: tuple(np.random.default_rng(seed + k) for k in (2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,11 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
+# Shape of the oracle checks' default case: T steps, B rows, D input
+# features and HIDDEN units per GRU direction.
+ORACLE_T, ORACLE_B, ORACLE_D, ORACLE_HIDDEN = 7, 5, 6, 4
+
+
 def _oracle_mask(rng, T: int, B: int) -> np.ndarray:
     """Ragged prefix masks (each row valid on [0, length), padded after it)
     with a full-length row, a length-1 row and random lengths in [1, T]."""
@@ -447,9 +454,7 @@ def random_ragged_mask(rng, T: int, B: int) -> np.ndarray:
     return (np.arange(T) < lengths[:, None]).astype(np.float64)
 
 
-def check_fused_bigru(
-    seed: int = 0, T: int = 7, B: int = 5, d_in: int = 6, hidden: int = 4, mask=None
-) -> float:
+def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=None) -> float:
     """Worst relative difference between ``model.bigru_layer`` and the per-step
     oracle: the outputs, dX and the gradients of all 24 gate tensors.
 
@@ -461,13 +466,13 @@ def check_fused_bigru(
     rng = np.random.default_rng(seed)
     if mask is not None:
         B, T = mask.shape
-    dirs = [random_gru(rng, d_in, hidden) for _ in range(2)]
+    dirs = [random_gru(rng, ORACLE_D, ORACLE_HIDDEN) for _ in range(2)]
     if mask is None:
         mask = _oracle_mask(rng, T, B)
-    x = rng.uniform(-1, 1, (T, B, d_in)) * mask.T[:, :, None]
+    x = rng.uniform(-1, 1, (T, B, ORACLE_D)) * mask.T[:, :, None]
     pack = Packing(mask)
-    probe = rng.uniform(-1, 1, (T, B, 2 * hidden))  # loss = sum(probe * outputs)
-    noise = [rng.normal(0.0, 0.1, (3, hidden, hidden)) for _ in dirs]
+    probe = rng.uniform(-1, 1, (T, B, 2 * ORACLE_HIDDEN))  # loss = sum(probe * outputs)
+    noise = [rng.normal(0.0, 0.1, (3, ORACLE_HIDDEN, ORACLE_HIDDEN)) for _ in dirs]
 
     def noisy(p, eps):
         return dataclasses.replace(
@@ -500,7 +505,7 @@ def check_fused_bigru(
     return max(_relative_error(f, o) for f, o in zip(run(True), run(False)))
 
 
-def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mask=None) -> float:
+def check_fused_attention(seed: int = 0, mask=None) -> float:
     """Worst relative difference between ``model.attention_pool`` and the
     per-position oracle: pooled output, weights, dU and the w_a gradient, on
     the same ragged masks as ``check_fused_bigru`` or on a given (B, T)
@@ -513,8 +518,9 @@ def check_fused_attention(seed: int = 0, T: int = 7, B: int = 5, d: int = 6, mas
     """
     rng = np.random.default_rng(seed)
     if mask is None:
-        mask = _oracle_mask(rng, T, B)
+        mask = _oracle_mask(rng, ORACLE_T, ORACLE_B)
     B, T = mask.shape
+    d = ORACLE_D
     pack = Packing(mask)
     u = rng.uniform(-1, 1, (T, B, d))
     split = d // 2
@@ -679,16 +685,16 @@ def check_tokenizer_oracle(n_trials: int = 5000, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def make_synthetic_dataset(n: int = 64, T: int = 5, vocab_size: int = 20, seed: int = 0) -> Dataset:
-    """Random token sequences; label j is 1 iff keyword token (2 + j) appears.
+def make_synthetic_dataset(n: int = 64, T: int = 5, seed: int = 0) -> Dataset:
+    """Random token sequences over the downsized vocabulary; label j is 1 iff
+    keyword token (2 + j) appears.
 
     Indices 0/1 are PAD/UNK, 2..12 are the eleven keywords, the rest filler.
     """
-    assert vocab_size >= 2 + NUM_EMOTIONS
     rng = np.random.default_rng(seed)
     examples = []
     for i in range(n):
-        toks = rng.integers(2, vocab_size, size=T).tolist()
+        toks = rng.integers(2, DOWNSIZED["vocab_size"], size=T).tolist()
         labels = [1 if (2 + j) in toks else 0 for j in range(NUM_EMOTIONS)]
         examples.append(Example(indices=toks, mask=[1] * T, labels=labels, id=f"syn-{i}"))
     return Dataset(examples=examples)
@@ -827,7 +833,10 @@ def check_padding_invariance(params: ModelParams, n_trials: int = 50, seed: int 
     return worst
 
 
-def check_metric_oracles(n_trials: int = 1000, n: int = 50, seed: int = 0) -> float:
+METRIC_ORACLE_ROWS = 50  # rows of each random prediction/gold pair
+
+
+def check_metric_oracles(n_trials: int = 1000, seed: int = 0) -> float:
     """Worst |fast - brute force| over random prediction/gold pairs.
 
     Includes all-zero rows (empty sets) and zero-support classes by
@@ -837,8 +846,8 @@ def check_metric_oracles(n_trials: int = 1000, n: int = 50, seed: int = 0) -> fl
     worst = 0.0
     for trial in range(n_trials):
         density = rng.uniform(0.05, 0.6)
-        pred = (rng.random((n, NUM_EMOTIONS)) < density).astype(np.int64)
-        gold = (rng.random((n, NUM_EMOTIONS)) < density).astype(np.int64)
+        pred = (rng.random((METRIC_ORACLE_ROWS, NUM_EMOTIONS)) < density).astype(np.int64)
+        gold = (rng.random((METRIC_ORACLE_ROWS, NUM_EMOTIONS)) < density).astype(np.int64)
         if trial % 10 == 0:
             pred[0] = 0
             gold[0] = 0  # empty/empty edge case

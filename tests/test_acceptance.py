@@ -33,7 +33,7 @@ def report(criterion: str, passed: bool, detail: str = ""):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.monotonic()
-    err = verify.downsized_gradcheck(seed=0, eps=1e-5, l2_coeff=1e-3)
+    err = verify.downsized_gradcheck(seed=0)
     elapsed = time.monotonic() - t0
     ok = err < 1e-4 and elapsed < 60.0
     report("1 gradient correctness", ok, f"max rel err {err:.2e}, {elapsed:.1f}s")

@@ -14,7 +14,7 @@ import pytest
 
 from panemo.autodiff import Tensor
 from panemo.checkpoint import save_checkpoint
-from panemo.cli import load_run_config, main
+from panemo.cli import _PATH_KEYS, load_run_config, main
 from panemo.errors import ConfigError
 from panemo.textprep import EMOTIONS, Vocabulary
 from panemo.training import TrainingConfig
@@ -137,6 +137,69 @@ def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 9
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["predict", "--chekpoint", "x"], "the following arguments are required: --checkpoint"),
+        ([], "the following arguments are required: command"),
+        (["gradcheck", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["gradcheck", "--eps", "1e-4"], "unrecognized arguments: --eps 1e-4"),
+    ],
+    ids=["misspelt option", "no command", "non-integer seed", "no eps option"],
+)
+def test_usage_error_is_user_error(capsys, argv, message):
+    """argparse's usage line, then one error line, and exit status 1."""
+    assert main(argv) == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: panemo")
+    assert error == f"error: {message}"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: panemo")
+
+
+def test_same_bits_cli_case_matches_fixture(workspace, tmp_path, monkeypatch):
+    """The "cli" case of ``tools/same_bits.py`` is the workspace of this
+    file: the same TSV bytes and model and training lines. All four of its
+    cases build their inputs."""
+    # sys.path is restored at teardown, with the paths same_bits prepends on import
+    monkeypatch.syspath_prepend(str(SRC.parent / "tools"))
+    import same_bits
+
+    for n_rows, seed in [(12, 0), (6, 1)]:
+        write_tsv(tmp_path / "fixture.tsv", n_rows, seed)
+        same_bits.write_cli_tsv(tmp_path / "tool.tsv", n_rows, seed)
+        assert (tmp_path / "tool.tsv").read_bytes() == (tmp_path / "fixture.tsv").read_bytes()
+    fixture = [line for line in (workspace / "run.cfg").read_text().splitlines() if "_path=" not in line]
+    assert same_bits.CLI_CONFIG.splitlines() == fixture
+
+    (tmp_path / "inputs").mkdir()
+    cases = same_bits.make_cases(tmp_path / "inputs")
+    assert sorted(cases) == sorted(["cli", *same_bits.worker.WORKLOADS])
+    for case in cases.values():
+        assert all(case[key].is_file() for key in ("config", "data", "lines", "stdin"))
+        run = load_run_config(case["config"])
+        assert all(Path(run[key]).is_file() for key in _PATH_KEYS if key in run)
+
+
+def test_predict_keeps_unicode_line_boundaries_in_their_line(workspace, capsys):
+    """One output row per input line: U+2028 and U+0085 do not end a line."""
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
+    capsys.readouterr()
+    lines = ["happy\u2028wow", "sad\x85ugh meh"]
+    tweets = workspace / "tweets.txt"
+    tweets.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["predict", "--checkpoint", str(workspace / "best.ckpt"), "--input", str(tweets)]) == 0
+    rows = capsys.readouterr().out.split("\n")
+    assert rows.pop() == "" and len(rows) == len(lines)
+    for row, line in zip(rows, lines):
+        assert row.startswith(line + "\t")
 
 
 EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"

@@ -533,7 +533,7 @@ class TestWorkspace:
         return [ragged_rows(rng, 6, 7, lengths) for lengths in self.LENGTHS]
 
     def test_steps_reuse_buffers_and_match_fresh_workspaces(self):
-        params = build_downsized(seed=4, T=7)
+        params = build_downsized(seed=4)
         ws = Workspace()
         shared, addresses = [], []
         for idx, msk in self.batches():
@@ -547,7 +547,7 @@ class TestWorkspace:
                 assert all(np.array_equal(grads[name], g) for name, g in expected.items())
 
     def test_results_share_no_memory_with_the_workspace(self):
-        params = build_downsized(seed=5, T=7)
+        params = build_downsized(seed=5)
         ws = Workspace()
         for idx, msk in self.batches():
             yhat, a1, a2, _ = taped_step(params, idx, msk, ws)
@@ -558,7 +558,7 @@ class TestWorkspace:
 
 def test_full_model_gradients_vs_finite_differences_small():
     """A very small taped end-to-end gradient check (full check in acceptance)."""
-    params = build_downsized(seed=2, T=3)
+    params = build_downsized(seed=2)
     idx = np.array([[2, 3, 0]])
     msk = np.array([[1.0, 1.0, 0.0]])
 

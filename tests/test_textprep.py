@@ -158,6 +158,31 @@ class TestLoadTsv:
             expected = sum(int(r[c]) for r in file_rows)
             assert sum(lab[c] for lab in raw.labels) == expected
 
+    def test_unicode_line_boundary_stays_in_its_row(self, tmp_path):
+        # str.splitlines would cut this row at U+2028 and at U+0085
+        path = tmp_path / "d.tsv"
+        path.write_text(HEADER + "\nid\tfirst\u2028second\x85third\t1" + "\t0" * 10 + "\n", encoding="utf-8")
+        raw = tp.load_semeval_tsv(path)
+        assert raw.ids == ["id"]
+        assert raw.token_lists == [["first", "second", "third"]]
+        assert raw.labels == [[1] + [0] * 10]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, tmp_path, newline):
+        labels = ["\t".join("1" if c == i else "0" for c in range(11)) for i in range(3)]
+        rows = [HEADER] + [f"id-{i}\ttweet {i}\t{labels[i]}" for i in range(3)]
+        path = tmp_path / "d.tsv"
+        path.write_bytes((newline.join(rows) + newline).encode())
+        raw = tp.load_semeval_tsv(path)
+        assert raw.ids == ["id-0", "id-1", "id-2"]
+        assert [lab.index(1) for lab in raw.labels] == [0, 1, 2]
+
+
+def test_split_lines_breaks_only_at_universal_newlines():
+    text = "a\rb\r\nc\n\nd\u2028e\x85f\x0bg\x0ch\x1ci\x1dj\x1ek\u2029l\n"
+    assert tp.split_lines(text) == ["a", "b", "c", "", "d\u2028e\x85f\x0bg\x0ch\x1ci\x1dj\x1ek\u2029l"]
+    assert tp.split_lines("") == [] and tp.split_lines("x") == ["x"] and tp.split_lines("\n") == [""]
+
 
 class TestEncode:
     def test_padding(self):
@@ -272,6 +297,21 @@ class TestLoadEmbeddings:
         path.write_text("cat 1.0 2.0\nowl 1.0\n")
         with pytest.raises(ParseError, match="line 2 has 1 values, expected 2"):
             tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+
+    @pytest.mark.parametrize("line", ["happy\t0.1\t0.2\t0.3", "day"])
+    def test_line_without_values_is_rejected(self, tmp_path, line):
+        vocab = tp.build_vocabulary([["happy", "day"]])
+        path = tmp_path / "vec.txt"
+        path.write_text(line + "\nday 0.1 0.2 0.3\n")
+        with pytest.raises(ParseError, match="line 1 has 0 values, expected 3"):
+            tp.load_embeddings(path, vocab, d_emb=3, seed=0)
+
+    def test_empty_lines_are_skipped(self, tmp_path):
+        vocab = tp.build_vocabulary([["cat"]])
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"\n\r\ncat 1.0 2.0\r\n\n")
+        emb = tp.load_embeddings(path, vocab, d_emb=2, seed=0)
+        np.testing.assert_array_equal(emb.weights[index_of(vocab, "cat")], [[1.0, 2.0]])
 
     def test_non_numeric_line_reported_before_later_wrong_arity(self, tmp_path):
         vocab = tp.build_vocabulary([["cat"]])

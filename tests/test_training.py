@@ -19,7 +19,6 @@ from panemo.textprep import Dataset, Example
 from panemo.verify import (
     build_downsized,
     make_synthetic_dataset,
-    overfit_harness,
     tensor_sum,
     train_mode_gradcheck,
     unpack,
