@@ -6,7 +6,7 @@ Takes roughly half a minute.
 
 import numpy as np
 
-from panemo.metrics import jaccard_accuracy, per_class_report, threshold
+from panemo.metrics import compute_report, per_class_report, threshold
 from panemo.model import forward, predict_scores
 from panemo.training import train
 from panemo.verify import overfit_harness
@@ -17,9 +17,9 @@ print(f"trained {len(log.epochs)} epochs, final train loss {log.epochs[-1].train
 
 idx, msk, _ = dataset.arrays()
 pred = threshold(predict_scores(idx, msk, params), config.threshold)
-gold = dataset.label_matrix()
-print(f"training-set Jaccard accuracy: {jaccard_accuracy(pred, gold):.3f}\n")
-print(per_class_report(pred, gold))
+report = compute_report(pred, dataset.label_matrix())
+print(f"training-set Jaccard accuracy: {report.jaccard:.3f}\n")
+print(per_class_report(report))
 
 # attention weights: layer 1 (shallow view) vs layer 2 (deeper view)
 print("\nper-position attention for three examples (tokens / layer-1 / layer-2):")

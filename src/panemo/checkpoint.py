@@ -17,7 +17,6 @@ Two saves of equal content are byte-identical.
 
 from __future__ import annotations
 
-import ast
 import math
 import struct
 from dataclasses import fields
@@ -25,10 +24,9 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import CheckpointError
-from .metrics import valid_threshold
 from .model import ModelConfig, ModelParams, param_layout, params_from_arrays
 from .textprep import NUM_EMOTIONS, Vocabulary
-from .training import TrainingConfig
+from .training import TrainingConfig, read_settings
 
 MAGIC = b"PANCKPT1"
 
@@ -38,18 +36,6 @@ _MAX_DIM = 1 << 32
 # config keys that fix the model's tensor shapes; n_labels, the head's width,
 # is fixed by the data format, so any value but NUM_EMOTIONS is rejected
 _MODEL_KEYS = ("d_emb", "hidden", "n_labels")
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-# the allowed values of the config keys that inference reads
-_CONFIG_CHECKS = {
-    **dict.fromkeys(("d_emb", "hidden", "max_len"), (_positive_int, "a positive integer")),
-    "n_labels": (lambda v: _positive_int(v) and v == NUM_EMOTIONS, f"{NUM_EMOTIONS}, the number of emotions"),
-    "threshold": (valid_threshold, "a finite number in [0, 1]"),
-}
 
 
 def _write_block(out: bytearray, payload: bytes):
@@ -154,17 +140,12 @@ def load_checkpoint(path):
     tokens = vocab_block.split("\n")
     vocab = Vocabulary(tokens[2:])  # PAD and UNK are re-added by the constructor
 
-    config: dict[str, object] = {}
-    for line in config_block.splitlines():
-        key, _, val = line.partition("=")
-        config[key] = _parse_value(val)
-
+    config = read_settings(config_block, path, CheckpointError)
     for key in _MODEL_KEYS:
         if key not in config:
             raise CheckpointError(f"{path}: config is missing key {key!r}")
-    for key, (allowed, words) in _CONFIG_CHECKS.items():
-        if key in config and not allowed(config[key]):
-            raise CheckpointError(f"{path}: config key {key}={config[key]!r} is not {words}")
+    if config["n_labels"] != NUM_EMOTIONS:
+        raise CheckpointError(f"{path}: n_labels={config['n_labels']} is not {NUM_EMOTIONS}, the number of emotions")
     model_config = ModelConfig(d_emb=config["d_emb"], hidden=config["hidden"])
     embedding = tensors.get("embedding")
     if embedding is not None and embedding.shape[:1] != (len(vocab),):
@@ -184,10 +165,3 @@ def load_checkpoint(path):
     if tensors:
         raise CheckpointError(f"{path}: unexpected records {sorted(tensors)}")
     return params_from_arrays(arrays, model_config), vocab, config, best_val_loss
-
-
-def _parse_value(text: str):
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text

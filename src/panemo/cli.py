@@ -15,7 +15,7 @@ from . import metrics, textprep, verify
 from .errors import CheckpointError, ConfigError, ParseError, TrainingDivergedError
 from .model import ModelConfig, init_params, predict_scores
 from .textprep import EMOTIONS
-from .training import TrainingConfig, evaluate_loss, train
+from .training import TrainingConfig, read_settings, train
 
 _PATH_KEYS = ("train_path", "dev_path", "test_path", "embeddings_path")
 _RUN_KEYS = {
@@ -40,36 +40,10 @@ _RUN_DEFAULTS = {
 
 
 def load_run_config(path) -> dict:
-    """Flat key=value UTF-8 config file. Unknown keys are errors."""
-    config = dict(_RUN_DEFAULTS)
-    for lineno, line in enumerate(textprep.split_lines(textprep.read_text(path, ConfigError)), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not sep or key not in _RUN_KEYS:
-            raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
-        config[key] = val
-    return config
-
-
-def _typed(run: dict, key: str, target: type):
-    """run[key] as ``target``; a value of the wrong type is a ConfigError naming the key."""
-    raw = run[key]
-    try:
-        return target(raw) if isinstance(raw, str) else raw
-    except ValueError:
-        raise ConfigError(f"{key}={raw!r} is not a valid {target.__name__}") from None
-
-
-def _training_config(run: dict) -> TrainingConfig:
-    defaults = TrainingConfig()
-    return TrainingConfig(**{
-        f.name: _typed(run, f.name, type(getattr(defaults, f.name)))
-        for f in fields(TrainingConfig)
-        if f.name in run
-    })
+    """Flat key=value UTF-8 config file, typed by ``read_settings``; the
+    paths keep their text. Unknown keys are errors."""
+    text = textprep.read_text(path, ConfigError)
+    return {**_RUN_DEFAULTS, **read_settings(text, path, ConfigError, _RUN_KEYS)}
 
 
 def _require_file(path_str: str, what: str) -> Path:
@@ -87,17 +61,16 @@ def _load_report(name: str, raw: textprep.RawDataset, dataset: textprep.Dataset,
     return f"{name} data: {len(dataset)} examples, truncation rate {truncated:.3f} at max_len={max_len}, UNK rate {unk:.3f}"
 
 
-def _headline_report(dataset: textprep.Dataset, params, tau: float):
-    """Thresholded predictions, gold labels and their report; prints the
-    Jaccard, Micro and Macro lines."""
+def _headline_report(dataset: textprep.Dataset, params, tau: float) -> metrics.MetricsReport:
+    """The report of the thresholded predictions against the gold labels;
+    prints its Jaccard, Micro and Macro lines."""
     idx, msk, _ = dataset.arrays()
     pred = metrics.threshold(predict_scores(idx, msk, params), tau)
-    gold = dataset.label_matrix()
-    report = metrics.compute_report(pred, gold)
+    report = metrics.compute_report(pred, dataset.label_matrix())
     print(f"Jaccard\t{report.jaccard:.4f}")
     print(f"Micro\t{report.micro_f1:.4f}")
     print(f"Macro\t{report.macro_f1:.4f}")
-    return pred, gold
+    return report
 
 
 def cmd_train(args) -> int:
@@ -105,12 +78,8 @@ def cmd_train(args) -> int:
     for key in ("train_path", "dev_path"):
         if key not in run:
             raise ConfigError(f"{args.config}: missing required key {key!r}")
-    tcfg = _training_config(run)
-    sizes = {key: _typed(run, key, int) for key in ("max_len", "min_count", "d_emb", "hidden")}
-    for key, value in sizes.items():
-        if value < 1:
-            raise ConfigError(f"{key}={value} must be >= 1")
-    max_len, min_count, d_emb, hidden = sizes.values()
+    tcfg = TrainingConfig(**{f.name: run[f.name] for f in fields(TrainingConfig) if f.name in run})
+    max_len, min_count, d_emb, hidden = run["max_len"], run["min_count"], run["d_emb"], run["hidden"]
     # written only after training, so a missing directory is caught now
     for key in ("log_path", "checkpoint_path"):
         if not Path(run[key]).parent.is_dir():
@@ -158,16 +127,16 @@ def cmd_train(args) -> int:
 def _load_for_inference(checkpoint_path):
     """(params, vocabulary, max_len, threshold) of a checkpoint."""
     params, vocab, config, _ = ckpt.load_checkpoint(_require_file(checkpoint_path, "checkpoint"))
-    return params, vocab, config.get("max_len", 50), float(config.get("threshold", 0.5))
+    return params, vocab, config.get("max_len", 50), config.get("threshold", 0.5)
 
 
 def cmd_evaluate(args) -> int:
     params, vocab, max_len, tau = _load_for_inference(args.checkpoint)
     raw = textprep.load_semeval_tsv(_require_file(args.data, "data TSV"))
     dataset = textprep.encode_dataset(raw, vocab, max_len)
-    pred, gold = _headline_report(dataset, params, tau)
+    report = _headline_report(dataset, params, tau)
     print()
-    print(metrics.per_class_report(pred, gold))
+    print(metrics.per_class_report(report))
     return 0
 
 

@@ -16,7 +16,7 @@ def valid_threshold(tau) -> bool:
     return isinstance(tau, Real) and not isinstance(tau, bool) and 0 <= tau <= 1
 
 
-def threshold(scores: np.ndarray, tau: float = 0.5) -> np.ndarray:
+def threshold(scores: np.ndarray, tau: float) -> np.ndarray:
     """Binary predictions: 1 iff score strictly greater than tau."""
     if not valid_threshold(tau):
         raise ValueError(f"threshold must be in [0, 1], got {tau}")
@@ -107,9 +107,9 @@ def compute_report(pred: np.ndarray, gold: np.ndarray) -> MetricsReport:
     )
 
 
-def per_class_report(pred: np.ndarray, gold: np.ndarray) -> str:
-    """Aligned plain-text table: emotion, support, precision, recall, F1."""
-    report = compute_report(pred, gold)
+def per_class_report(report: MetricsReport) -> str:
+    """``report``'s classes as an aligned plain-text table: emotion, support,
+    precision, recall, F1."""
     width = max(len(n) for n in EMOTIONS)
     lines = [f"{'emotion':<{width}}  support  precision  recall      f1"]
     for c in report.per_class:

@@ -55,7 +55,8 @@ def decode_text(data: bytes, source, error: type[Exception] = ParseError) -> str
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]  # its lines end at LF, CR LF or a lone CR, as in split_lines
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{source}: line {line} is not UTF-8") from None
 
 

@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .metrics import valid_threshold
 from .model import ModelParams, Workspace, dropout_mask, forward, predict_scores
-from .textprep import Dataset
+from .textprep import Dataset, split_lines
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
 # enabling one regularizer never perturbs another's draws.
@@ -72,6 +72,41 @@ class TrainingConfig:
                 raise ConfigError(f"{f.name}={value} must be finite and {words}")
         if self.lr_floor > self.lr_init:
             raise ConfigError(f"lr_floor={self.lr_floor} exceeds lr_init={self.lr_init}")
+
+
+# Keys outside TrainingConfig that size the data or the model.
+_SIZE_KEYS = ("d_emb", "hidden", "max_len", "min_count", "n_labels")
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainingConfig)}
+
+
+def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
+    """The ``key=value`` lines of ``text``, typed: a TrainingConfig field takes
+    its default's type and is range-checked by constructing a TrainingConfig,
+    d_emb, hidden, max_len, min_count and n_labels are integers >= 1, and any
+    other key keeps its text. Empty lines and lines starting with ``#`` are
+    skipped. Given ``keys``, a key outside them is an error. Errors raise
+    ``error`` naming ``source``."""
+    settings = {}
+    for lineno, line in enumerate(split_lines(text), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if keys is not None and (not sep or key not in keys):
+            raise error(f"{source}: line {lineno}: unknown config key {key!r}")
+        kind = int if key in _SIZE_KEYS else _FIELD_TYPES.get(key, str)
+        try:
+            settings[key] = kind(value)
+        except ValueError:
+            raise error(f"{source}: {key}={value!r} is not a valid {kind.__name__}") from None
+        if key in _SIZE_KEYS and settings[key] < 1:
+            raise error(f"{source}: {key}={value} must be >= 1")
+    try:
+        TrainingConfig(**{key: value for key, value in settings.items() if key in _FIELD_TYPES})
+    except ConfigError as exc:
+        raise error(f"{source}: {exc}") from None
+    return settings
 
 
 def weighted_bce(yhat: Tensor, y: np.ndarray, w: float) -> Tensor:

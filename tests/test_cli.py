@@ -421,6 +421,19 @@ def _max_len(value):
     return edit
 
 
+class Verbatim(str):
+    """A config value that a checkpoint's config block holds as is, not quoted."""
+
+    def __repr__(self):
+        return str(self)
+
+
+# config values that a Python-literal parser cannot take apart: its parser
+# overflows its recursion limit, or runs out of memory
+PLUS_CHAIN = "1+" * 50_000 + "1"
+MINUS_CHAIN = "-" * 100_000 + "1"
+
+
 @pytest.mark.parametrize(
     "edit, replace, message",
     [
@@ -447,17 +460,23 @@ def _max_len(value):
         ),
         pytest.param(_non_finite, None, "record dense.W_d has a non-finite value", id="non-finite value"),
         pytest.param(None, (b"tok17", b"tok\xff7"), "vocabulary is not UTF-8", id="non-UTF-8 vocabulary"),
-        pytest.param(_max_len("abc"), None, "max_len='abc' is not a positive integer", id="max_len not a number"),
-        pytest.param(_max_len(0), None, "max_len=0 is not a positive integer", id="max_len zero"),
-        pytest.param(_max_len(2.7), None, "max_len=2.7 is not a positive integer", id="max_len fraction"),
+        pytest.param(_max_len("abc"), None, """max_len="'abc'" is not a valid int""", id="max_len not a number"),
+        pytest.param(_max_len(0), None, "max_len=0 must be >= 1", id="max_len zero"),
+        pytest.param(_max_len(2.7), None, "max_len='2.7' is not a valid int", id="max_len fraction"),
         pytest.param(
-            None, (b"threshold=0.5", b"threshold=abc"), "threshold='abc' is not a finite number", id="threshold text"
+            _max_len(Verbatim(PLUS_CHAIN)), None, f"max_len='{PLUS_CHAIN}' is not a valid int", id="max_len 1+1+...+1"
         ),
         pytest.param(
-            None, (b"threshold=0.5", b"threshold=nan"), "threshold='nan' is not a finite number", id="threshold nan"
+            _max_len(Verbatim(MINUS_CHAIN)), None, f"max_len='{MINUS_CHAIN}' is not a valid int", id="max_len ---...-1"
         ),
         pytest.param(
-            None, (b"threshold=0.5", b"threshold=1.5"), "threshold=1.5 is not a finite number in [0, 1]",
+            None, (b"threshold=0.5", b"threshold=abc"), "threshold='abc' is not a valid float", id="threshold text"
+        ),
+        pytest.param(
+            None, (b"threshold=0.5", b"threshold=nan"), "threshold=nan must be finite and in [0, 1]", id="threshold nan"
+        ),
+        pytest.param(
+            None, (b"threshold=0.5", b"threshold=1.5"), "threshold=1.5 must be finite and in [0, 1]",
             id="threshold above 1",
         ),
     ],
@@ -485,7 +504,7 @@ def test_bad_checkpoint_record_is_user_error(tmp_path, capsys, edit, replace, me
 FIELD_BYTES = b"0123456789-+.eEjx =\t\n\xff"
 
 
-def mutants(data: bytes, n: int, seed: int, spans=None):
+def mutants(data: bytes, n: int, seed: int = 0, spans=None):
     """n seeded mutants of ``data``: the even ones cut at a random length, the
     odd ones with 1 to 3 bytes overwritten by random values. Given ``spans``,
     (start, end) byte ranges, the cuts and overwrites fall inside them and the
@@ -529,6 +548,26 @@ def config_block_span(ckpt: bytes):
     return [(ckpt.index(f"{fields(TrainingConfig)[0].name}=".encode()), len(ckpt) - 8)]
 
 
+def aimed(spans):
+    """Mutants whose cuts and overwrites fall inside ``spans(data)``."""
+    return lambda data, n: mutants(data, n, spans=spans(data))
+
+
+def operator_chains(ckpt: bytes, n: int):
+    """n seeded mutants of a checkpoint with one config value replaced by a
+    long chain of operators ending in a digit, such as ``1+1+...+1`` or
+    ``---...-1``; the config block's length prefix is rewritten to match."""
+    rng = np.random.default_rng(0)
+    [(start, end)] = config_block_span(ckpt)
+    block = ckpt[start:end]
+    spans = value_spans(block)
+    for _ in range(n):
+        a, b = spans[rng.integers(0, len(spans))]
+        unit = [b"1+", b"-", b"+", b"~", b"(", b"1*"][rng.integers(0, 6)]
+        new = block[:a] + unit * int(rng.integers(1_000, 100_000)) + b"1" + block[b:]
+        yield ckpt[: start - 4] + struct.pack("<I", len(new)) + new + ckpt[end:]
+
+
 # Run from the test's directory; the run config's mutants keep its output
 # paths, so no run writes outside that directory.
 RUN_INPUTS = (
@@ -542,24 +581,26 @@ PREDICT = ["predict", "--checkpoint", "best.ckpt", "--input", "tweets.txt"]
 
 
 @pytest.mark.parametrize(
-    "target, n, commands, spans",
+    "target, n, commands, mutate",
     [
-        pytest.param("best.ckpt", 200, [EVALUATE, PREDICT], None, id="checkpoint"),
-        pytest.param("run.cfg", 60, [RUN], None, id="run config"),
-        pytest.param("train.tsv", 60, [RUN], None, id="train TSV"),
-        pytest.param("dev.tsv", 60, [RUN, EVALUATE], None, id="dev TSV"),
-        pytest.param("vectors.txt", 60, [RUN], None, id="embeddings"),
-        pytest.param("tweets.txt", 60, [PREDICT], None, id="predict input"),
-        pytest.param("train.tsv", 60, [RUN], label_spans, id="train TSV labels"),
-        pytest.param("dev.tsv", 60, [RUN, EVALUATE], label_spans, id="dev TSV labels"),
-        pytest.param("run.cfg", 60, [RUN], value_spans, id="run config values"),
-        pytest.param("best.ckpt", 100, [EVALUATE, PREDICT], config_block_span, id="checkpoint config block"),
+        pytest.param("best.ckpt", 200, [EVALUATE, PREDICT], mutants, id="checkpoint"),
+        pytest.param("run.cfg", 60, [RUN], mutants, id="run config"),
+        pytest.param("train.tsv", 60, [RUN], mutants, id="train TSV"),
+        pytest.param("dev.tsv", 60, [RUN, EVALUATE], mutants, id="dev TSV"),
+        pytest.param("vectors.txt", 60, [RUN], mutants, id="embeddings"),
+        pytest.param("tweets.txt", 60, [PREDICT], mutants, id="predict input"),
+        pytest.param("train.tsv", 60, [RUN], aimed(label_spans), id="train TSV labels"),
+        pytest.param("dev.tsv", 60, [RUN, EVALUATE], aimed(label_spans), id="dev TSV labels"),
+        pytest.param("run.cfg", 60, [RUN], aimed(value_spans), id="run config values"),
+        pytest.param("best.ckpt", 100, [EVALUATE, PREDICT], aimed(config_block_span), id="checkpoint config block"),
+        pytest.param("best.ckpt", 12, [EVALUATE, PREDICT], operator_chains, id="checkpoint config operator chains"),
     ],
 )
-def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, commands, spans):
+def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, commands, mutate):
     """Seeded truncations and byte overwrites of each file the CLI reads, over
-    the whole file or aimed at the fields its deeper checks read: every run
-    exits 0, or 1 with a single error: line."""
+    the whole file or aimed at the fields its deeper checks read, and long
+    operator chains in the checkpoint's config values: every run exits 0, or
+    1 with a single error: line."""
     monkeypatch.chdir(workspace)
     vectors = "".join(word + f" {0.1 * i:.2f}" * 8 + "\n" for i, word in enumerate(WORDS))
     (workspace / "vectors.txt").write_text(vectors)
@@ -569,7 +610,7 @@ def test_mutated_input_never_exits_2(workspace, capsys, monkeypatch, target, n, 
 
     path = workspace / target
     data = RUN_INPUTS if target == "run.cfg" else path.read_bytes()
-    for i, mutant in enumerate(mutants(data, n, seed=0, spans=spans and spans(data))):
+    for i, mutant in enumerate(mutate(data, n)):
         path.write_bytes(mutant + RUN_OUTPUTS if target == "run.cfg" else mutant)
         for argv in commands:
             capsys.readouterr()

@@ -139,7 +139,7 @@ class TestReports:
     def test_empty_dataset_report(self):
         pred = np.zeros((0, 11), dtype=int)
         gold = np.zeros((0, 11), dtype=int)
-        text = metrics.per_class_report(pred, gold)
+        text = metrics.per_class_report(metrics.compute_report(pred, gold))
         lines = text.splitlines()
         assert len(lines) == 12  # header + 11 emotions
         for name, line in zip(EMOTIONS, lines[1:]):

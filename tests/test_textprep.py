@@ -184,6 +184,13 @@ def test_split_lines_breaks_only_at_universal_newlines():
     assert tp.split_lines("") == [] and tp.split_lines("x") == ["x"] and tp.split_lines("\n") == [""]
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CR LF", "CR"])
+def test_decode_text_names_the_line_that_split_lines_gives(newline):
+    data = newline.join([b"a", b"b", b"c\xe9", b"d"]) + newline
+    with pytest.raises(ParseError, match=r"^d\.tsv: line 3 is not UTF-8$"):
+        tp.decode_text(data, "d.tsv")
+
+
 class TestEncode:
     def test_padding(self):
         vocab = tp.build_vocabulary([["cat"]])
