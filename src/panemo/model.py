@@ -280,19 +280,17 @@ class Packing:
         return (rows.reshape(self.T, self.B, -1) * per_row).reshape(self.N, -1)
 
 
-def embed(indices: np.ndarray, embedding: Tensor, pack: Packing) -> Tensor:
-    """Row lookup of the scanned positions of a (B, T) index batch.
-
-    Returns the (N, d_emb) packed rows of ``pack``, the packing of the
-    batch's mask. Equivalent to one-hot matmul against the embedding table.
-    No gradient flows to the (frozen) table.
+def embed(ids: np.ndarray, embedding: Tensor) -> Tensor:
+    """Row lookup of (N,) token ids, such as the packed rows of a batch's
+    index grid (``Packing.pack``). Returns the (N, d_emb) rows. Equivalent
+    to one-hot matmul against the embedding table. No gradient flows to the
+    (frozen) table.
     """
-    indices = pack.pack(np.asarray(indices).T)
-    if indices.max(initial=0) >= embedding.data.shape[0] or indices.min(initial=0) < 0:
+    if ids.max(initial=0) >= embedding.data.shape[0] or ids.min(initial=0) < 0:
         raise IndexError(
             f"token index out of range for vocabulary of {embedding.data.shape[0]}"
         )
-    return Tensor(embedding.data[indices])
+    return Tensor(embedding.data[ids])
 
 
 class Workspace:
@@ -330,6 +328,7 @@ def bigru_layer(
     pack: Packing,
     ws: Workspace | None = None,
     layer: str = "gru",
+    ids: np.ndarray | None = None,
 ) -> Tensor:
     """Bidirectional GRU scan over a sequence, as one tape op.
 
@@ -359,6 +358,10 @@ def bigru_layer(
     tensors of each direction (which may be weight-noise views of the clean
     parameters).
 
+    Given ``ids``, the (N,) token id of each row of ``x``, rows with the
+    same id must be equal: the input projection is then computed once per
+    distinct id and gathered to the N rows. The backward rule is unchanged.
+
     The arrays are taken from ``ws`` (a throwaway workspace when None). What
     the backward rule reads, and the output, sit under keys prefixed with
     ``layer``; the other keys hold arrays that are dead when the forward or
@@ -382,7 +385,12 @@ def bigru_layer(
     # Per-position arrays are (2, N, .), forward direction first, each in its
     # own scan order: C[1] row off[s] + i is the backward scan's step s.
     k, off, boff = pack.k, pack.off, pack.boff
-    xp = np.matmul(x_rows, W_i, out=ws.take("xp", (N, 6 * H)))  # forward-packed
+    xp = ws.take("xp", (N, 6 * H))  # forward-packed
+    if ids is None:
+        np.matmul(x_rows, W_i, out=xp)
+    else:  # rows of one id are equal; mode="clip" lets np.take write straight into out
+        _, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+        np.take(x_rows[first] @ W_i, inv, axis=0, mode="clip", out=xp)
     if pack.packed:  # mode="clip" lets np.take write straight into out; the rows are all valid
         xb = np.take(xp.reshape(2 * N, 3 * H), pack.bhalf, axis=0, mode="clip", out=ws.take("xb", (N, 3 * H)))
     else:
@@ -636,7 +644,9 @@ def forward(
     ``spatial_keep`` (B, d_emb) scales each example's embedding channels at
     every position, ``dense_keep`` (B, d_v) the pooled vector before the
     head. Without them the pass is the eval forward. Both attention layers
-    see the same post-spatial-dropout X that feeds GRU layer 1. A train loop
+    see the same post-spatial-dropout X that feeds GRU layer 1. Without
+    ``spatial_keep``, X holds unscaled embedding rows, so layer 1 gets their
+    token ids and projects each distinct token of the batch once. A train loop
     passes the ``Workspace`` it keeps across steps as ``ws``; without one,
     each BiGRU layer allocates its arrays afresh.
     """
@@ -648,12 +658,14 @@ def forward(
     length = max(int(row_ends(mask).max(initial=0)), 1)
     mask = mask[:, :length]
     pack = Packing(mask)
-    x = embed(np.asarray(indices)[:, :length], params.embedding, pack)
+    ids = pack.pack(np.asarray(indices)[:, :length].T)
+    x = embed(ids, params.embedding)
     if spatial_keep is not None:
         # the embedding is frozen, so the dropped-out input needs no gradient
         x = Tensor(pack.scale(x.data, spatial_keep))
+        ids = None  # scaled rows of one token differ between batch rows
 
-    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack, ws, "gru1")
+    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack, ws, "gru1", ids)
     h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask, pack, ws, "gru2")
 
     v1, a1 = attention_pool([h1, x], params.attn1, pack)

@@ -48,6 +48,19 @@ _FIELD_RANGES = {
 }
 
 
+# Characters of a value that an error message shows: a longer value is cut
+# there and its length given.
+SHOWN_CHARS = 40
+
+
+def _shown(value, quote: bool = False) -> str:
+    """``value`` as an error message shows it, cut at SHOWN_CHARS characters
+    and as a repr when ``quote``."""
+    text = str(value)
+    head = repr(text[:SHOWN_CHARS]) if quote else text[:SHOWN_CHARS]
+    return head if len(text) <= SHOWN_CHARS else f"{head}... ({len(text)} characters)"
+
+
 @dataclass
 class TrainingConfig:
     batch_size: int = 64
@@ -69,23 +82,27 @@ class TrainingConfig:
             value = getattr(self, f.name)
             allowed, words = _FIELD_RANGES[f.name]
             if (isinstance(value, float) and not math.isfinite(value)) or not allowed(value):
-                raise ConfigError(f"{f.name}={value} must be finite and {words}")
+                raise ConfigError(f"{f.name}={_shown(value)} must be finite and {words}")
         if self.lr_floor > self.lr_init:
             raise ConfigError(f"lr_floor={self.lr_floor} exceeds lr_init={self.lr_init}")
 
 
 # Keys outside TrainingConfig that size the data or the model.
 _SIZE_KEYS = ("d_emb", "hidden", "max_len", "min_count", "n_labels")
+# Largest max_len read: every row is padded to max_len, while a 280-character
+# tweet yields at most 280 tokens.
+MAX_LEN_CEILING = 10_000
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainingConfig)}
 
 
 def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
     """The ``key=value`` lines of ``text``, typed: a TrainingConfig field takes
     its default's type and is range-checked by constructing a TrainingConfig,
-    d_emb, hidden, max_len, min_count and n_labels are integers >= 1, and any
-    other key keeps its text. Empty lines and lines starting with ``#`` are
-    skipped. Given ``keys``, a key outside them is an error. Errors raise
-    ``error`` naming ``source``."""
+    d_emb, hidden, max_len, min_count and n_labels are integers >= 1, max_len
+    is at most MAX_LEN_CEILING, and any other key keeps its text. Empty lines
+    and lines starting with ``#`` are skipped. Given ``keys``, a key outside
+    them is an error. Errors raise ``error`` naming ``source`` and show a
+    long key or value only by its first SHOWN_CHARS characters."""
     settings = {}
     for lineno, line in enumerate(split_lines(text), start=1):
         line = line.strip()
@@ -94,14 +111,16 @@ def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if keys is not None and (not sep or key not in keys):
-            raise error(f"{source}: line {lineno}: unknown config key {key!r}")
+            raise error(f"{source}: line {lineno}: unknown config key {_shown(key, quote=True)}")
         kind = int if key in _SIZE_KEYS else _FIELD_TYPES.get(key, str)
         try:
             settings[key] = kind(value)
         except ValueError:
-            raise error(f"{source}: {key}={value!r} is not a valid {kind.__name__}") from None
+            raise error(f"{source}: {key}={_shown(value, quote=True)} is not a valid {kind.__name__}") from None
         if key in _SIZE_KEYS and settings[key] < 1:
-            raise error(f"{source}: {key}={value} must be >= 1")
+            raise error(f"{source}: {key}={_shown(value)} must be >= 1")
+        if key == "max_len" and settings[key] > MAX_LEN_CEILING:
+            raise error(f"{source}: max_len={_shown(value)} must be <= {MAX_LEN_CEILING}")
     try:
         TrainingConfig(**{key: value for key, value in settings.items() if key in _FIELD_TYPES})
     except ConfigError as exc:

@@ -454,14 +454,26 @@ def random_ragged_mask(rng, T: int, B: int) -> np.ndarray:
     return (np.arange(T) < lengths[:, None]).astype(np.float64)
 
 
-def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=None) -> float:
+# (T, B) token id grids for ``check_fused_bigru``: ids repeated from a small
+# table, every position with its own id, and one id at every position.
+TOKEN_ID_GRIDS = {
+    "repeated ids": lambda rng, T, B: rng.integers(0, 3, (T, B)),
+    "distinct ids": lambda rng, T, B: rng.permutation(T * B).reshape(T, B),
+    "one id": lambda rng, T, B: np.zeros((T, B), dtype=np.int64),
+}
+
+
+def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=None, ids=None) -> float:
     """Worst relative difference between ``model.bigru_layer`` and the per-step
     oracle: the outputs, dX and the gradients of all 24 gate tensors.
 
     By default the batch has the ragged prefix masks of ``_oracle_mask``; a
-    given (B, T) prefix ``mask`` replaces them and sets T and B. The hidden
-    weights carry noise built as in a training step (``noisy_weight``), so
-    the gate gradients reach the clean weights through the shared buffers.
+    given (B, T) prefix ``mask`` replaces them and sets T and B. Given
+    ``ids``, one of ``TOKEN_ID_GRIDS``, x's rows are the rows of a random
+    table at the grid's ids, and the fused layer gets the packed ids, so it
+    projects each distinct id once. The hidden weights carry noise built as
+    in a training step (``noisy_weight``), so the gate gradients reach the
+    clean weights through the shared buffers.
     """
     rng = np.random.default_rng(seed)
     if mask is not None:
@@ -469,8 +481,13 @@ def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=
     dirs = [random_gru(rng, ORACLE_D, ORACLE_HIDDEN) for _ in range(2)]
     if mask is None:
         mask = _oracle_mask(rng, T, B)
-    x = rng.uniform(-1, 1, (T, B, ORACLE_D)) * mask.T[:, :, None]
+    if ids is None:
+        x = rng.uniform(-1, 1, (T, B, ORACLE_D)) * mask.T[:, :, None]
+    else:
+        grid = ids(rng, T, B)
+        x = rng.uniform(-1, 1, (int(grid.max()) + 1, ORACLE_D))[grid] * mask.T[:, :, None]
     pack = Packing(mask)
+    token_ids = None if ids is None else pack.pack(grid)
     probe = rng.uniform(-1, 1, (T, B, 2 * ORACLE_HIDDEN))  # loss = sum(probe * outputs)
     noise = [rng.normal(0.0, 0.1, (3, ORACLE_HIDDEN, ORACLE_HIDDEN)) for _ in dirs]
 
@@ -487,7 +504,7 @@ def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=
             fwd, bwd = (noisy(p, eps) for p, eps in zip(dirs, noise))
             if fused:
                 xs = Tensor(pack.pack(x), trainable=True)
-                out = bigru_layer(xs, fwd, bwd, mask, pack)
+                out = bigru_layer(xs, fwd, bwd, mask, pack, ids=token_ids)
                 loss = tensor_sum(mul_const(out, pack.pack(probe)))
                 out = Tensor(unpack(pack, out.data))
             else:
@@ -503,6 +520,29 @@ def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=
         return [out.data, dx] + grads
 
     return max(_relative_error(f, o) for f, o in zip(run(True), run(False)))
+
+
+def token_projection_error(params: ModelParams, indices: np.ndarray, mask: np.ndarray) -> float:
+    """Worst relative difference between the eval ``forward`` of a batch,
+    whose layer 1 projects each distinct token once, and the same pass with
+    an all-ones ``spatial_keep``, whose layer 1 projects every row: the
+    scores and both attention maps."""
+    y, a1, a2 = forward(indices, mask, params)
+    y_rows, a1_rows, a2_rows = forward(indices, mask, params, spatial_keep=np.ones((len(mask), params.config.d_emb)))
+    return max(_relative_error(*pair) for pair in [(y.data, y_rows.data), (a1, a1_rows), (a2, a2_rows)])
+
+
+def check_token_projection(params: ModelParams, n_trials: int = 30, seed: int = 0) -> float:
+    """Worst ``token_projection_error`` over random batches of ``params``'
+    tokens, in turn ragged, of equal lengths and of one token per row."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for trial in range(n_trials):
+        T, B = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        mask = (random_ragged_mask(rng, T, B), np.ones((B, T)), np.ones((B, 1)))[trial % 3]
+        indices = rng.integers(0, params.embedding.data.shape[0], mask.shape)
+        worst = max(worst, token_projection_error(params, indices, mask))
+    return worst
 
 
 def check_fused_attention(seed: int = 0, mask=None) -> float:
@@ -875,6 +915,13 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         random_ragged_mask(rng, int(rng.integers(1, 10)), int(rng.integers(1, 8))) for _ in oracle_seeds
     ]
     packed_attention = max(check_fused_attention(s, mask=m) for s in oracle_seeds for m in attention_masks)
+    token_projection = max(
+        check_fused_bigru(s, mask=m, ids=ids)
+        for s in oracle_seeds
+        for m in [None, *PACKING_MASKS.values()]
+        for ids in TOKEN_ID_GRIDS.values()
+    )
+    token_projection = max(token_projection, check_token_projection(params, max(n // 10, 30), seed))
     results = []
     for name, worst, tol in [
         ("masked_softmax invariants", check_softmax_invariants(n, seed), 1e-12),
@@ -884,6 +931,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         ("fused BiGRU vs per-step oracle", bigru, 1e-12),
         ("fused attention vs per-position oracle", max(map(check_fused_attention, oracle_seeds)), 1e-12),
         ("packed attention vs per-position oracle", packed_attention, 1e-12),
+        ("distinct-token projection vs per-step oracle and per-row GEMM", token_projection, 1e-12),
         ("dense head vs composed oracle ops", check_fused_head(oracle_seeds), 1e-12),
         ("tokenizer vs reference oracle", check_tokenizer_oracle(1000 if quick else 5000, seed), 1e-12),
     ]:

@@ -17,7 +17,7 @@ from panemo.checkpoint import save_checkpoint
 from panemo.cli import _PATH_KEYS, load_run_config, main
 from panemo.errors import ConfigError
 from panemo.textprep import EMOTIONS, Vocabulary
-from panemo.training import TrainingConfig
+from panemo.training import SHOWN_CHARS, TrainingConfig
 from panemo.verify import build_downsized
 
 
@@ -136,7 +136,7 @@ def test_gradcheck_train_mode(capsys):
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 10
 
 
 @pytest.mark.parametrize(
@@ -220,6 +220,15 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("pos_weight=-3\n", "", "pos_weight=-3"),
         ("threshold=7\n", "", "threshold=7"),
         ("max_epochs=0\n", "", "max_epochs=0"),
+        ("max_len=1000000000000\n", "", "max_len=1000000000000 must be <= 10000"),
+        pytest.param(
+            "seed=" + "7" * 100_000 + "\n", "", f"seed='{'7' * SHOWN_CHARS}'... (100000 characters) is not a valid int",
+            id="seed of 100000 digits",
+        ),
+        pytest.param(
+            "seed=-" + "7" * 1000 + "\n", "", f"seed=-{'7' * (SHOWN_CHARS - 1)}... (1001 characters) must be finite",
+            id="seed of -1000 digits",
+        ),
         ("log_path=/nonexistent/panemo/log.tsv\n", "", "log_path"),
         ("checkpoint_path=/nonexistent/panemo/best.ckpt\n", "", "checkpoint_path"),
         ("test_path=/nonexistent/panemo/test.tsv\n", "", "test TSV not found: /nonexistent/panemo/test.tsv"),
@@ -238,6 +247,7 @@ def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, messag
         assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+    assert len(err) < len(str(workspace)) + 200
     assert not (workspace / "best.ckpt").exists()
     assert not (workspace / "log.tsv").exists()
 
@@ -463,11 +473,21 @@ MINUS_CHAIN = "-" * 100_000 + "1"
         pytest.param(_max_len("abc"), None, """max_len="'abc'" is not a valid int""", id="max_len not a number"),
         pytest.param(_max_len(0), None, "max_len=0 must be >= 1", id="max_len zero"),
         pytest.param(_max_len(2.7), None, "max_len='2.7' is not a valid int", id="max_len fraction"),
+        # a long value is shown by its first SHOWN_CHARS characters and its length
         pytest.param(
-            _max_len(Verbatim(PLUS_CHAIN)), None, f"max_len='{PLUS_CHAIN}' is not a valid int", id="max_len 1+1+...+1"
+            _max_len(Verbatim(PLUS_CHAIN)), None,
+            f"max_len='{PLUS_CHAIN[:SHOWN_CHARS]}'... (100001 characters) is not a valid int",
+            id="max_len 1+1+...+1",
         ),
         pytest.param(
-            _max_len(Verbatim(MINUS_CHAIN)), None, f"max_len='{MINUS_CHAIN}' is not a valid int", id="max_len ---...-1"
+            _max_len(Verbatim(MINUS_CHAIN)), None,
+            f"max_len='{MINUS_CHAIN[:SHOWN_CHARS]}'... (100001 characters) is not a valid int",
+            id="max_len ---...-1",
+        ),
+        pytest.param(_max_len(10**12), None, "max_len=1000000000000 must be <= 10000", id="max_len 10^12"),
+        pytest.param(
+            _max_len(Verbatim("9" * 4000)), None, f"max_len={'9' * SHOWN_CHARS}... (4000 characters) must be <= 10000",
+            id="max_len of 4000 digits",
         ),
         pytest.param(
             None, (b"threshold=0.5", b"threshold=abc"), "threshold='abc' is not a valid float", id="threshold text"
@@ -496,6 +516,7 @@ def test_bad_checkpoint_record_is_user_error(tmp_path, capsys, edit, replace, me
     assert main(["evaluate", "--checkpoint", str(path), "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and message in err
+    assert err.count("\n") == 1 and len(err) < len(str(path)) + 200
 
 
 

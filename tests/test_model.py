@@ -34,6 +34,11 @@ def unpacked(t, mask):
     return unpack(Packing(mask), t.data)
 
 
+def embedded(idx, emb, mask):
+    """The (T, B, d) embedding rows of a (B, T) index batch."""
+    return unpacked(embed(Packing(mask).pack(idx.T), emb), mask)
+
+
 # Masks outside the prefix contract of model.row_ends, each first broken in row 2.
 NON_PREFIX_MASKS = {
     name: np.array([[float(c) for c in row] for row in rows])
@@ -52,7 +57,7 @@ class TestEmbed:
     def test_pad_row_is_zero(self):
         emb = Tensor(random_embeddings(10, 4, seed=0).weights)
         mask = np.ones((1, 2))
-        xs = unpacked(embed(np.array([[0, 3]]), emb, Packing(mask)), mask)
+        xs = embedded(np.array([[0, 3]]), emb, mask)
         np.testing.assert_array_equal(xs[0], np.zeros((1, 4)))
 
     def test_equivalent_to_one_hot_matmul(self):
@@ -60,7 +65,7 @@ class TestEmbed:
         rng = np.random.default_rng(2)
         idx = rng.integers(0, 12, size=(1, 20))
         mask = np.ones((1, 20))
-        xs = unpacked(embed(idx, emb, Packing(mask)), mask)
+        xs = embedded(idx, emb, mask)
         for t in range(20):
             one_hot = np.zeros((1, 12))
             one_hot[0, idx[0, t]] = 1.0
@@ -70,14 +75,14 @@ class TestEmbed:
         emb = Tensor(random_embeddings(8, 3, seed=3).weights)
         idx = np.array([[2, 4, 6], [2, 4, 6]])
         mask = np.ones((2, 3))
-        xs = unpacked(embed(idx, emb, Packing(mask)), mask)
+        xs = embedded(idx, emb, mask)
         for x in xs:
             np.testing.assert_array_equal(x[0], x[1])
 
     def test_out_of_range_index(self):
         emb = Tensor(random_embeddings(5, 3, seed=0).weights)
         with pytest.raises(IndexError):
-            embed(np.array([[7]]), emb, Packing(np.ones((1, 1))))
+            embed(np.array([7]), emb)
 
 
 class TestGruCell:
@@ -174,6 +179,14 @@ class TestFusedOracle:
         # re-ranked rows, empty rows, unpacked batches, B = 1
         for seed in range(3):
             assert verify.check_fused_bigru(seed=seed, mask=verify.PACKING_MASKS[name]) <= 1e-12
+
+    @pytest.mark.parametrize("ids", sorted(verify.TOKEN_ID_GRIDS))
+    @pytest.mark.parametrize("name", ["oracle masks", *sorted(verify.PACKING_MASKS)])
+    def test_bigru_projects_each_distinct_token_once(self, name, ids):
+        # packed and identity packings, with repeated, all distinct and one token id
+        mask = verify.PACKING_MASKS.get(name)  # None: the ragged masks of the oracle's default batch
+        for seed in range(3):
+            assert verify.check_fused_bigru(seed=seed, mask=mask, ids=verify.TOKEN_ID_GRIDS[ids]) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_attention_matches_per_position_oracle(self, seed):
@@ -367,6 +380,19 @@ class TestForward:
         np.testing.assert_allclose(y_p.data, y.data[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(a1_p, a1[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(a2_p, a2[perm], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("config", [ModelConfig(d_emb=8, hidden=4), ModelConfig()])
+    @pytest.mark.parametrize(
+        "lengths", [[3, 7, 1, 5, 7, 2], [7] * 4, [1] * 5], ids=["ragged", "equal lengths", "single token"]
+    )
+    def test_distinct_token_projection_matches_per_row_gemm(self, config, lengths):
+        # the eval forward projects each distinct token once; an all-ones
+        # spatial_keep sends the same rows through the per-row GEMM
+        params = init_params(random_embeddings(20, config.d_emb, seed=0), config, seed=0)
+        rng = np.random.default_rng(22)
+        msk = np.array([[1.0] * n + [0.0] * (max(lengths) - n) for n in lengths])
+        idx = rng.integers(2, 7, size=msk.shape) * msk.astype(np.int64)
+        assert verify.token_projection_error(params, idx, msk) <= 1e-12
 
     def test_batch_without_valid_position_raises(self):
         params = build_downsized(seed=0)
