@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,33 +15,23 @@ from . import metrics, textprep, verify
 from .errors import CheckpointError, ConfigError, ParseError, TrainingDivergedError
 from .model import ModelConfig, init_params, predict_scores
 from .textprep import EMOTIONS
-from .training import TrainingConfig, read_settings, train
+from .training import SIZE_DEFAULTS, TrainingConfig, read_settings, train
 
 _PATH_KEYS = ("train_path", "dev_path", "test_path", "embeddings_path")
-_RUN_KEYS = {
-    *_PATH_KEYS,
-    "checkpoint_path",
-    "log_path",
-    "max_len",
-    "min_count",
-    "d_emb",
-    "hidden",
-    *(f.name for f in fields(TrainingConfig)),
-}
-
+# Every other run-config key, with its default. n_labels is left out: a
+# checkpoint records it, but the data format fixes it.
 _RUN_DEFAULTS = {
     "checkpoint_path": "best.ckpt",
     "log_path": "training_log.tsv",
-    "max_len": 50,
-    "min_count": 1,
-    "d_emb": 300,
-    "hidden": 50,
+    **{key: value for key, value in SIZE_DEFAULTS.items() if key != "n_labels"},
+    **asdict(TrainingConfig()),
 }
+_RUN_KEYS = {*_PATH_KEYS, *_RUN_DEFAULTS}
 
 
 def load_run_config(path) -> dict:
-    """Flat key=value UTF-8 config file, typed by ``read_settings``; the
-    paths keep their text. Unknown keys are errors."""
+    """Flat key=value UTF-8 config file, typed by ``read_settings``, with
+    ``_RUN_DEFAULTS`` for the keys it leaves out. Unknown keys are errors."""
     text = textprep.read_text(path, ConfigError)
     return {**_RUN_DEFAULTS, **read_settings(text, path, ConfigError, _RUN_KEYS)}
 
@@ -78,7 +68,7 @@ def cmd_train(args) -> int:
     for key in ("train_path", "dev_path"):
         if key not in run:
             raise ConfigError(f"{args.config}: missing required key {key!r}")
-    tcfg = TrainingConfig(**{f.name: run[f.name] for f in fields(TrainingConfig) if f.name in run})
+    tcfg = TrainingConfig(**{f.name: run[f.name] for f in fields(TrainingConfig)})
     max_len, min_count, d_emb, hidden = run["max_len"], run["min_count"], run["d_emb"], run["hidden"]
     # written only after training, so a missing directory is caught now
     for key in ("log_path", "checkpoint_path"):
@@ -125,9 +115,10 @@ def cmd_train(args) -> int:
 
 
 def _load_for_inference(checkpoint_path):
-    """(params, vocabulary, max_len, threshold) of a checkpoint."""
+    """(params, vocabulary, max_len, threshold) of a checkpoint, ``_RUN_DEFAULTS`` filling a missing key."""
     params, vocab, config, _ = ckpt.load_checkpoint(_require_file(checkpoint_path, "checkpoint"))
-    return params, vocab, config.get("max_len", 50), config.get("threshold", 0.5)
+    config = {**_RUN_DEFAULTS, **config}
+    return params, vocab, config["max_len"], config["threshold"]
 
 
 def cmd_evaluate(args) -> int:

@@ -15,8 +15,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .metrics import valid_threshold
-from .model import ModelParams, Workspace, dropout_mask, forward, predict_scores
-from .textprep import Dataset, split_lines
+from .model import ModelConfig, ModelParams, Workspace, dropout_mask, forward, predict_scores
+from .textprep import NUM_EMOTIONS, Dataset, split_lines
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
 # enabling one regularizer never perturbs another's draws.
@@ -87,8 +87,15 @@ class TrainingConfig:
             raise ConfigError(f"lr_floor={self.lr_floor} exceeds lr_init={self.lr_init}")
 
 
-# Keys outside TrainingConfig that size the data or the model.
-_SIZE_KEYS = ("d_emb", "hidden", "max_len", "min_count", "n_labels")
+# The default of each integer setting outside TrainingConfig: the sizes of
+# the model, of its head (fixed by the data format) and of the data.
+SIZE_DEFAULTS = {
+    "d_emb": ModelConfig.d_emb,
+    "hidden": ModelConfig.hidden,
+    "n_labels": NUM_EMOTIONS,
+    "max_len": 50,
+    "min_count": 1,
+}
 # Largest max_len read: every row is padded to max_len, while a 280-character
 # tweet yields at most 280 tokens.
 MAX_LEN_CEILING = 10_000
@@ -98,8 +105,8 @@ _FIELD_TYPES = {f.name: type(f.default) for f in fields(TrainingConfig)}
 def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
     """The ``key=value`` lines of ``text``, typed: a TrainingConfig field takes
     its default's type and is range-checked by constructing a TrainingConfig,
-    d_emb, hidden, max_len, min_count and n_labels are integers >= 1, max_len
-    is at most MAX_LEN_CEILING, and any other key keeps its text. Empty lines
+    a key of SIZE_DEFAULTS is an integer >= 1, max_len is at most
+    MAX_LEN_CEILING, and any other key keeps its text. Empty lines
     and lines starting with ``#`` are skipped. Given ``keys``, a key outside
     them is an error. Errors raise ``error`` naming ``source`` and show a
     long key or value only by its first SHOWN_CHARS characters."""
@@ -112,12 +119,12 @@ def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
         key, value = key.strip(), value.strip()
         if keys is not None and (not sep or key not in keys):
             raise error(f"{source}: line {lineno}: unknown config key {_shown(key, quote=True)}")
-        kind = int if key in _SIZE_KEYS else _FIELD_TYPES.get(key, str)
+        kind = int if key in SIZE_DEFAULTS else _FIELD_TYPES.get(key, str)
         try:
             settings[key] = kind(value)
         except ValueError:
             raise error(f"{source}: {key}={_shown(value, quote=True)} is not a valid {kind.__name__}") from None
-        if key in _SIZE_KEYS and settings[key] < 1:
+        if key in SIZE_DEFAULTS and settings[key] < 1:
             raise error(f"{source}: {key}={_shown(value)} must be >= 1")
         if key == "max_len" and settings[key] > MAX_LEN_CEILING:
             raise error(f"{source}: max_len={_shown(value)} must be <= {MAX_LEN_CEILING}")
@@ -232,16 +239,18 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float):
-    """One Adam update in place, reading each parameter's grad buffer."""
+    """One Adam update in place, reading each parameter's grad buffer. A
+    moment that overflows is left infinite, for train() to report."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for i, p in enumerate(params):
-        g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**state.t)
-        v_hat = state.v[i] / (1.0 - b2**state.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    with np.errstate(over="ignore"):
+        for i, p in enumerate(params):
+            g = p.grad
+            state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
+            state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
+            m_hat = state.m[i] / (1.0 - b1**state.t)
+            v_hat = state.v[i] / (1.0 - b2**state.t)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -381,6 +390,9 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_loss = run_epoch(epoch, lr)
+        # an infinite second moment freezes its weights at every later step
+        if not all(np.isfinite(v).all() for v in state.v):
+            raise TrainingDivergedError(f"training diverged: non-finite Adam second moment at epoch {epoch}, lr={lr:g}")
         val_loss = evaluate_loss(dev_set, params, config)
         log.epochs.append(
             EpochRecord(epoch, epoch_loss, val_loss, lr, time.monotonic() - t0)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from panemo.autodiff import Tensor
-from panemo.checkpoint import save_checkpoint
-from panemo.cli import _PATH_KEYS, load_run_config, main
+from panemo.checkpoint import MAGIC, save_checkpoint
+from panemo.cli import _PATH_KEYS, _load_for_inference, load_run_config, main
 from panemo.errors import ConfigError
 from panemo.textprep import EMOTIONS, Vocabulary
-from panemo.training import SHOWN_CHARS, TrainingConfig
+from panemo.model import ModelConfig
+from panemo.training import SHOWN_CHARS, SIZE_DEFAULTS, TrainingConfig
 from panemo.verify import build_downsized
 
 
@@ -233,13 +234,17 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("checkpoint_path=/nonexistent/panemo/best.ckpt\n", "", "checkpoint_path"),
         ("test_path=/nonexistent/panemo/test.tsv\n", "", "test TSV not found: /nonexistent/panemo/test.tsv"),
         ("lr_init=1e300\n", "", "training diverged: non-finite loss at epoch 1, batch 1, lr=1e+300"),
+        ("l2_coeff=1e300\n", "", "training diverged: non-finite Adam second moment at epoch 1, lr=0.001"),
+        ("pos_weight=1e300\n", "", "training diverged: non-finite Adam second moment at epoch 1, lr=0.001"),
+        ("dev_path={ws}/empty.tsv\n", "", "empty.tsv: empty file, expected a header row"),
     ],
 )
 def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
     """Each exits 1 with one error line on stderr and no numpy warning; a
     diverging run's overflow is reported only as the divergence."""
+    (workspace / "empty.tsv").touch()
     with open(workspace / "run.cfg", "a") as fh:
-        fh.write(config_line)
+        fh.write(config_line.format(ws=workspace))
     with open(workspace / "dev.tsv", "a") as fh:
         fh.write(dev_row)
     with warnings.catch_warnings():
@@ -387,6 +392,25 @@ def test_unknown_config_key(tmp_path):
         load_run_config(cfg)
 
 
+def test_defaults_of_run_config_and_checkpoint(tmp_path):
+    """A run config of the two required paths takes the model's sizes from
+    ModelConfig and the data's from SIZE_DEFAULTS; a checkpoint without
+    max_len or threshold falls back to the same max_len and to
+    TrainingConfig's threshold."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train_path=train.tsv\ndev_path=dev.tsv\n")
+    run = load_run_config(cfg)
+    assert (run["d_emb"], run["hidden"]) == (ModelConfig().d_emb, ModelConfig().hidden)
+    assert (run["max_len"], run["min_count"]) == (SIZE_DEFAULTS["max_len"], SIZE_DEFAULTS["min_count"])
+    assert TrainingConfig(**{f.name: run[f.name] for f in fields(TrainingConfig)}) == TrainingConfig()
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_downsized(seed=0), Vocabulary([f"tok{i}" for i in range(18)]), TrainingConfig(), 0.5, path)
+    path.write_bytes(path.read_bytes().replace(b"\nthreshold=", b"\n#hreshold="))
+    _, _, max_len, tau = _load_for_inference(path)
+    assert (max_len, tau) == (run["max_len"], TrainingConfig().threshold)
+
+
 def test_missing_file_is_user_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train_path=/nonexistent.tsv\ndev_path=/nonexistent.tsv\n")
@@ -422,6 +446,13 @@ def _record_dims(name: bytes, old: tuple, new: tuple):
     """The bytes replacement that changes a record's dims from old to new."""
     head = name + struct.pack("<I", len(old))
     return head + struct.pack(f"<{len(old)}Q", *old), head + struct.pack(f"<{len(new)}Q", *new)
+
+
+def _extra_record(n_records: int):
+    """The bytes replacement that raises the record count by one and puts a
+    one-value record named "extra" before the first record."""
+    record = struct.pack("<I", 5) + b"extra" + struct.pack("<IQd", 1, 1, 0.0)
+    return MAGIC + struct.pack("<I", n_records), MAGIC + struct.pack("<I", n_records + 1) + record
 
 
 def _max_len(value):
@@ -469,6 +500,10 @@ MINUS_CHAIN = "-" * 100_000 + "1"
             id="record of 2^63 values",
         ),
         pytest.param(_non_finite, None, "record dense.W_d has a non-finite value", id="non-finite value"),
+        pytest.param(
+            None, _extra_record(len(build_downsized(seed=0).named_parameters())), "unexpected records ['extra']",
+            id="one record more than the layout",
+        ),
         pytest.param(None, (b"tok17", b"tok\xff7"), "vocabulary is not UTF-8", id="non-UTF-8 vocabulary"),
         pytest.param(_max_len("abc"), None, """max_len="'abc'" is not a valid int""", id="max_len not a number"),
         pytest.param(_max_len(0), None, "max_len=0 must be >= 1", id="max_len zero"),

@@ -15,7 +15,9 @@ both source trees, each command in a child process with one BLAS thread:
 
 It compares each command's exit status, stdout and stderr, each checkpoint's
 bytes and each training log without its ``elapsed_seconds`` column. It
-prints one verdict line per output and exits 1 when any output differs.
+prints a header line naming the numpy version and the BLAS library it was
+built against, then one verdict line per output, and exits 1 when any
+output differs.
 Same-seed bytes hold across processes only at the same BLAS thread count,
 CPU kernel and numpy build, hence the pinned thread count. The workload
 inputs come from ``perfbench/worker.py``, which is only read.
@@ -154,7 +156,11 @@ def main(argv=None) -> int:
         cases = make_cases(inputs)
         got_base = outputs(base, tmp / "runs-base", cases)
         got_here = outputs(ROOT, tmp / "runs-here", cases)
-    print(f"base {rev[:12]} against the working tree at {ROOT}, 1 BLAS thread")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    print(
+        f"base {rev[:12]} against the working tree at {ROOT}, 1 BLAS thread, "
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    )
     differ = 0
     for name, want in got_base.items():
         same = got_here[name] == want
