@@ -15,7 +15,7 @@ dataset, params, config = overfit_harness(seed=1)
 params, log = train(dataset, dataset, config, params)
 print(f"trained {len(log.epochs)} epochs, final train loss {log.epochs[-1].train_loss:.4f}")
 
-idx, msk, _ = dataset.arrays()
+idx, msk = dataset.arrays()
 pred = threshold(predict_scores(idx, msk, params), config.threshold)
 report = compute_report(pred, dataset.label_matrix())
 print(f"training-set Jaccard accuracy: {report.jaccard:.3f}\n")

@@ -77,7 +77,7 @@ def save_checkpoint(
 
     out += struct.pack("<d", best_val_loss)
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
 
 
 class _Reader:

@@ -46,7 +46,7 @@ def _require_file(path_str: str, what: str) -> Path:
 def _load_report(name: str, raw: textprep.RawDataset, dataset: textprep.Dataset, max_len: int) -> str:
     """Example count, share of tweets cut at max_len, and share of kept tokens out of vocabulary."""
     truncated = np.mean([len(tokens) > max_len for tokens in raw.token_lists])
-    idx, msk, _ = dataset.arrays()
+    idx, msk = dataset.arrays()
     unk = np.count_nonzero((idx == textprep.UNK_INDEX) & (msk > 0)) / np.count_nonzero(msk)
     return f"{name} data: {len(dataset)} examples, truncation rate {truncated:.3f} at max_len={max_len}, UNK rate {unk:.3f}"
 
@@ -54,7 +54,7 @@ def _load_report(name: str, raw: textprep.RawDataset, dataset: textprep.Dataset,
 def _headline_report(dataset: textprep.Dataset, params, tau: float) -> metrics.MetricsReport:
     """The report of the thresholded predictions against the gold labels;
     prints its Jaccard, Micro and Macro lines."""
-    idx, msk, _ = dataset.arrays()
+    idx, msk = dataset.arrays()
     pred = metrics.threshold(predict_scores(idx, msk, params), tau)
     report = metrics.compute_report(pred, dataset.label_matrix())
     print(f"Jaccard\t{report.jaccard:.4f}")

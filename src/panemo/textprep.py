@@ -50,10 +50,11 @@ _BINARY = frozenset(("0", "1"))  # the label values
 
 
 def decode_text(data: bytes, source, error: type[Exception] = ParseError) -> str:
-    """``data`` decoded as UTF-8. Bytes that are not UTF-8 raise ``error``
-    naming ``source`` and the line that holds them."""
+    """``data`` decoded as UTF-8, without one leading byte-order mark. Bytes
+    that are not UTF-8 raise ``error`` naming ``source`` and the line that
+    holds them."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]  # its lines end at LF, CR LF or a lone CR, as in split_lines
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -142,7 +143,6 @@ class Example:
     indices: list[int]
     mask: list[int]
     labels: list[int]
-    id: str = ""
 
 
 @dataclass
@@ -153,30 +153,30 @@ class Dataset:
         return len(self.examples)
 
     def label_matrix(self) -> np.ndarray:
+        """The (n, m) int64 labels."""
         return np.array([ex.labels for ex in self.examples], dtype=np.int64)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, mask, labels) as (n, T) int64, (n, T) and (n, m) float64 arrays."""
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, mask) as (n, T) int64 and float64 arrays."""
         idx = np.array([ex.indices for ex in self.examples], dtype=np.int64)
         msk = np.array([ex.mask for ex in self.examples], dtype=np.float64)
-        lab = np.array([ex.labels for ex in self.examples], dtype=np.float64)
-        return idx, msk, lab
+        return idx, msk
 
 
 @dataclass
 class RawDataset:
     """Loaded but not yet encoded: raw token lists plus labels."""
 
-    ids: list[str]
     token_lists: list[list[str]]
     labels: list[list[int]]
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.labels)
 
 
 def load_semeval_tsv(path) -> RawDataset:
     """Load a SemEval 2018 E-c style TSV: ID, Tweet, then the 11 emotions.
+    The ID column is required but not kept.
 
     The header must name the emotions in canonical order; labels are the
     literal strings "0"/"1"; the tweet must hold at least one token (it has
@@ -195,7 +195,7 @@ def load_semeval_tsv(path) -> RawDataset:
     if [h.strip().lower() for h in header[2:]] != list(EMOTIONS):
         raise ParseError(f"{path}: emotion columns must be in order {EMOTIONS}")
 
-    ids, token_lists, labels = [], [], []
+    token_lists, labels = [], []
     for rownum, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -212,12 +212,11 @@ def load_semeval_tsv(path) -> RawDataset:
         tokens = tokenize(cols[1])
         if not tokens:
             raise ParseError(f"{path}: row {rownum} has an empty tweet")
-        ids.append(cols[0])
         token_lists.append(tokens)
         labels.append(row_labels)
-    if not ids:
+    if not labels:
         raise ParseError(f"{path}: no data rows after the header")
-    return RawDataset(ids=ids, token_lists=token_lists, labels=labels)
+    return RawDataset(token_lists=token_lists, labels=labels)
 
 
 def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> tuple[list[int], list[int]]:
@@ -236,11 +235,9 @@ def encode(tokens: list[str], vocab: Vocabulary, max_len: int) -> tuple[list[int
 
 
 def encode_dataset(raw: RawDataset, vocab: Vocabulary, max_len: int) -> Dataset:
-    examples = []
-    for ex_id, toks, labels in zip(raw.ids, raw.token_lists, raw.labels):
-        indices, mask = encode(toks, vocab, max_len)
-        examples.append(Example(indices=indices, mask=mask, labels=labels, id=ex_id))
-    return Dataset(examples=examples)
+    return Dataset(
+        [Example(*encode(toks, vocab, max_len), labels) for toks, labels in zip(raw.token_lists, raw.labels)]
+    )
 
 
 @dataclass
@@ -297,7 +294,7 @@ def load_embeddings(path, vocab: Vocabulary, d_emb: int, seed: int) -> Embedding
 
     lookup = vocab._index.get
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # one leading byte-order mark is not text
             for lineno, line in enumerate(fh, start=1):
                 n_values = line.count(" ")  # one space before each value
                 if not n_values and line == "\n":

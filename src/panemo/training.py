@@ -108,9 +108,10 @@ def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
     a key of SIZE_DEFAULTS is an integer >= 1, max_len is at most
     MAX_LEN_CEILING, and any other key keeps its text. Empty lines
     and lines starting with ``#`` are skipped. Given ``keys``, a key outside
-    them is an error. Errors raise ``error`` naming ``source`` and show a
-    long key or value only by its first SHOWN_CHARS characters."""
-    settings = {}
+    them is an error; so is a key set twice. Errors raise ``error`` naming
+    ``source`` and show a long key or value only by its first SHOWN_CHARS
+    characters."""
+    settings, line_of = {}, {}
     for lineno, line in enumerate(split_lines(text), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -119,6 +120,10 @@ def read_settings(text: str, source, error: type[Exception], keys=None) -> dict:
         key, value = key.strip(), value.strip()
         if keys is not None and (not sep or key not in keys):
             raise error(f"{source}: line {lineno}: unknown config key {_shown(key, quote=True)}")
+        if key in line_of:
+            first = line_of[key]
+            raise error(f"{source}: line {lineno}: config key {_shown(key, quote=True)} already set on line {first}")
+        line_of[key] = lineno
         kind = int if key in SIZE_DEFAULTS else _FIELD_TYPES.get(key, str)
         try:
             settings[key] = kind(value)
@@ -320,9 +325,9 @@ def batch_loss(
 
 def evaluate_loss(dataset: Dataset, params: ModelParams, config: TrainingConfig) -> float:
     """Eval-mode weighted BCE over a dataset (no L2, no regularizer noise)."""
-    idx, msk, lab = dataset.arrays()
+    idx, msk = dataset.arrays()
     yhat = predict_scores(idx, msk, params, config.batch_size)
-    return float(weighted_bce(Tensor(yhat), lab, config.pos_weight).data)
+    return float(weighted_bce(Tensor(yhat), dataset.label_matrix(), config.pos_weight).data)
 
 
 def train(
@@ -346,7 +351,8 @@ def train(
     if len(train_set) == 0 or len(dev_set) == 0:
         raise ValueError("train and dev sets must be non-empty")
 
-    idx, msk, lab = train_set.arrays()
+    idx, msk = train_set.arrays()
+    lab = train_set.label_matrix()
     n = len(train_set)
     embedding_before = _digest(params.embedding.data)
 

@@ -125,8 +125,7 @@ def _gradcheck(seed: int, regime: TrainingConfig, rngs: Callable[[], tuple]) -> 
     params = build_downsized(seed)
     rng = np.random.default_rng(seed + 1)
     indices = rng.integers(0, cfg["vocab_size"], size=(cfg["batch"], cfg["T"]))
-    lengths = rng.integers(2, cfg["T"] + 1, size=cfg["batch"])
-    mask = np.array([[1.0] * n + [0.0] * (cfg["T"] - n) for n in lengths])
+    mask = prefix_mask(rng.integers(2, cfg["T"] + 1, size=cfg["batch"]), cfg["T"])
     indices = indices * (mask.astype(np.int64))  # padded positions -> PAD
     labels = rng.integers(0, 2, size=(cfg["batch"], NUM_EMOTIONS)).astype(np.float64)
     trainable = [t for _, t in params.trainable_parameters()]
@@ -404,11 +403,15 @@ def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
 ORACLE_T, ORACLE_B, ORACLE_D, ORACLE_HIDDEN = 7, 5, 6, 4
 
 
+def prefix_mask(lengths, T: int) -> np.ndarray:
+    """The (len(lengths), T) float mask whose row i is 1 on [0, lengths[i]) and 0 after it."""
+    return (np.arange(T) < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
 def _oracle_mask(rng, T: int, B: int) -> np.ndarray:
-    """Ragged prefix masks (each row valid on [0, length), padded after it)
-    with a full-length row, a length-1 row and random lengths in [1, T]."""
-    lengths = [T, 1] + [int(n) for n in rng.integers(1, T + 1, size=max(B - 2, 0))]
-    return np.array([[1.0] * n + [0.0] * (T - n) for n in lengths[:B]])
+    """Ragged prefix masks with a full-length row, a length-1 row and random
+    lengths in [1, T]."""
+    return prefix_mask([T, 1, *rng.integers(1, T + 1, size=max(B - 2, 0))][:B], T)
 
 
 def gru_direction(d_in: int, hidden: int, fill) -> GruDirectionParams:
@@ -437,21 +440,19 @@ def unpack(pack: Packing, rows: np.ndarray) -> np.ndarray:
 # must be re-ranked, rows that are never stepped, and batches where every row
 # ends at T (packing is then the identity).
 PACKING_MASKS = {
-    name: np.array([[float(c) for c in row] for row in rows])
-    for name, rows in {
-        "ascending lengths": ["1000000", "1100000", "1111000", "1111110", "1111111"],
-        "empty rows": ["1110000", "0000000", "1111111", "1000000", "0000000"],
-        "equal lengths": ["1111111"] * 5,
-        "single short row": ["1110000"],
+    name: prefix_mask(lengths, 7)
+    for name, lengths in {
+        "ascending lengths": [1, 2, 4, 6, 7],
+        "empty rows": [3, 0, 7, 1, 0],
+        "equal lengths": [7] * 5,
+        "single short row": [3],
     }.items()
 }
 
 
 def random_ragged_mask(rng, T: int, B: int) -> np.ndarray:
-    """A random (B, T) prefix mask: each row valid on [0, length) for a
-    random length in [1, T], padded after it."""
-    lengths = rng.integers(1, T + 1, B)
-    return (np.arange(T) < lengths[:, None]).astype(np.float64)
+    """A (B, T) ``prefix_mask`` of random lengths in [1, T]."""
+    return prefix_mask(rng.integers(1, T + 1, B), T)
 
 
 # (T, B) token id grids for ``check_fused_bigru``: ids repeated from a small
@@ -733,10 +734,10 @@ def make_synthetic_dataset(n: int = 64, T: int = 5, seed: int = 0) -> Dataset:
     """
     rng = np.random.default_rng(seed)
     examples = []
-    for i in range(n):
+    for _ in range(n):
         toks = rng.integers(2, DOWNSIZED["vocab_size"], size=T).tolist()
         labels = [1 if (2 + j) in toks else 0 for j in range(NUM_EMOTIONS)]
-        examples.append(Example(indices=toks, mask=[1] * T, labels=labels, id=f"syn-{i}"))
+        examples.append(Example(indices=toks, mask=[1] * T, labels=labels))
     return Dataset(examples=examples)
 
 
@@ -813,7 +814,7 @@ def check_softmax_invariants(n_trials: int = 500, seed: int = 0) -> float:
     for _ in range(n_trials):
         T = int(rng.integers(1, 12))
         n_valid = int(rng.integers(1, T + 1))
-        mask = np.array([[1.0] * n_valid + [0.0] * (T - n_valid)])
+        mask = prefix_mask([n_valid], T)
         scores = ad.Tensor(rng.uniform(-5, 5, size=(1, T)))
         a = masked_softmax(scores, mask).data
         worst = max(worst, abs(a[mask > 0].sum() - 1.0))
@@ -835,7 +836,7 @@ def check_attention_convex_hull(n_trials: int = 500, seed: int = 0) -> float:
         T = int(rng.integers(1, 8))
         d = int(rng.integers(1, 6))
         n_valid = int(rng.integers(1, T + 1))
-        mask = np.array([[1.0] * n_valid + [0.0] * (T - n_valid)])
+        mask = prefix_mask([n_valid], T)
         u = rng.uniform(-2, 2, size=(T, 1, d))
         p = AttentionParams(
             w_a=ad.Tensor(rng.uniform(-1, 1, size=(d, 1)), trainable=True),

@@ -46,7 +46,7 @@ def test_criterion_2_overfit_oracle():
     dataset, params, config = overfit_harness(seed=1)
     params, log = train(dataset, dataset, config, params)
     final_loss = log.epochs[-1].train_loss
-    idx, msk, _ = dataset.arrays()
+    idx, msk = dataset.arrays()
     pred = threshold(predict_scores(idx, msk, params), config.threshold)
     jac = jaccard_accuracy(pred, dataset.label_matrix())
     elapsed = time.monotonic() - t0
@@ -168,7 +168,7 @@ def test_criterion_8_full_data_reproduction(tmp_path):
     params, vocab, config, _ = load_checkpoint(tmp_path / "best.ckpt")
     raw = textprep.load_semeval_tsv(f"{data_dir}/test.tsv")
     test_set = textprep.encode_dataset(raw, vocab, int(config["max_len"]))
-    idx, msk, _ = test_set.arrays()
+    idx, msk = test_set.arrays()
     pred = threshold(predict_scores(idx, msk, params), float(config["threshold"]))
     gold = test_set.label_matrix()
     jac = jaccard_accuracy(pred, gold)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from panemo import autodiff, checkpoint, cli, metrics, model, textprep, training
-from panemo.verify import DOWNSIZED, build_downsized
+from panemo.verify import DOWNSIZED, build_downsized, prefix_mask
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 MODULES = {
@@ -67,7 +67,7 @@ def test_traced_predict_spans_nest_in_their_batch():
     one per thread."""
     rng = np.random.default_rng(0)
     n, T = 64, 20
-    mask = (np.arange(T) < rng.integers(1, T + 1, (n, 1))).astype(np.float64)
+    mask = prefix_mask(rng.integers(1, T + 1, n), T)
     indices = rng.integers(2, DOWNSIZED["vocab_size"], (n, T)) * mask.astype(np.int64)
     params = build_downsized(seed=0)
     tracer = load_probes().Tracer(MODULES)

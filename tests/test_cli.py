@@ -55,6 +55,15 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def set_config(workspace, lines: str):
+    """Append the ``key=value`` ``lines`` to the workspace's run config,
+    first dropping its line of each key they set."""
+    cfg = workspace / "run.cfg"
+    keys = {line.partition("=")[0] for line in lines.splitlines()}
+    kept = [line for line in cfg.read_text().splitlines(keepends=True) if line.partition("=")[0] not in keys]
+    cfg.write_text("".join(kept) + lines)
+
+
 def test_train_evaluate_predict_pipeline(workspace, capsys):
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
     out = capsys.readouterr().out
@@ -189,6 +198,28 @@ def test_same_bits_cli_case_matches_fixture(workspace, tmp_path, monkeypatch):
         assert all(Path(run[key]).is_file() for key in _PATH_KEYS if key in run)
 
 
+def test_byte_order_mark_is_not_text(workspace, capsys, monkeypatch):
+    """A run config, predict input or stdin that starts with a UTF-8
+    byte-order mark reads as the same text without it."""
+    config, ckpt = workspace / "run.cfg", workspace / "best.ckpt"
+    assert main(["train", "--config", str(config)]) == 0
+    plain_ckpt = ckpt.read_bytes()
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert main(["train", "--config", str(config)]) == 0
+    assert ckpt.read_bytes() == plain_ckpt
+    tweets, marked = workspace / "tweets.txt", workspace / "marked.txt"
+    tweets.write_text("I love it\nsad ugh\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + tweets.read_bytes())
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(tweets)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(marked)]) == 0
+    assert capsys.readouterr().out == plain
+    stdin_bytes(monkeypatch, marked.read_bytes())
+    assert main(["predict", "--checkpoint", str(ckpt)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_predict_keeps_unicode_line_boundaries_in_their_line(workspace, capsys):
     """One output row per input line: U+2028 and U+0085 do not end a line."""
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
@@ -237,14 +268,16 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("l2_coeff=1e300\n", "", "training diverged: non-finite Adam second moment at epoch 1, lr=0.001"),
         ("pos_weight=1e300\n", "", "training diverged: non-finite Adam second moment at epoch 1, lr=0.001"),
         ("dev_path={ws}/empty.tsv\n", "", "empty.tsv: empty file, expected a header row"),
+        pytest.param(
+            "seed=3\nseed=4\n", "", "run.cfg: line 11: config key 'seed' already set on line 10", id="repeated key"
+        ),
     ],
 )
 def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, message):
     """Each exits 1 with one error line on stderr and no numpy warning; a
     diverging run's overflow is reported only as the divergence."""
     (workspace / "empty.tsv").touch()
-    with open(workspace / "run.cfg", "a") as fh:
-        fh.write(config_line.format(ws=workspace))
+    set_config(workspace, config_line.format(ws=workspace))
     with open(workspace / "dev.tsv", "a") as fh:
         fh.write(dev_row)
     with warnings.catch_warnings():
@@ -261,8 +294,7 @@ def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, messag
 def test_threshold_endpoints_exit_0(workspace, capsys, tau, labels):
     """threshold=0 and threshold=1 hold for the test-set report after
     training, for evaluate and for predict alike."""
-    with open(workspace / "run.cfg", "a") as fh:
-        fh.write(f"threshold={tau}\ntest_path={workspace / 'dev.tsv'}\n")
+    set_config(workspace, f"threshold={tau}\ntest_path={workspace / 'dev.tsv'}\n")
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
     ckpt = str(workspace / "best.ckpt")
     assert main(["evaluate", "--checkpoint", ckpt, "--data", str(workspace / "dev.tsv")]) == 0
@@ -277,8 +309,7 @@ def test_saturated_sigmoids_warn_nothing(workspace, capsys):
     """lr_init=1e6 drives gate and head pre-activations far below -709, where
     exp overflows and the sigmoid reads 0: training and evaluation exit 0
     with no numpy RuntimeWarning."""
-    with open(workspace / "run.cfg", "a") as fh:
-        fh.write("lr_init=1e6\n")
+    set_config(workspace, "lr_init=1e6\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
@@ -291,8 +322,7 @@ def test_train_reports_data_and_test_metrics(workspace, capsys):
     # max_len=6, 1 of the 7 dev tweets is truncated and 2 of 30 kept tokens are UNK
     with open(workspace / "dev.tsv", "a") as fh:
         fh.write("t-9\thappy zzz qqq sad calm wow yay\t" + "\t".join(["1"] * 11) + "\n")
-    with open(workspace / "run.cfg", "a") as fh:
-        fh.write(f"test_path={workspace / 'dev.tsv'}\n")
+    set_config(workspace, f"test_path={workspace / 'dev.tsv'}\n")
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == [
@@ -310,8 +340,7 @@ def test_train_reports_data_and_test_metrics(workspace, capsys):
 def test_header_only_tsv_is_user_error(workspace, capsys):
     header_only = workspace / "header.tsv"
     header_only.write_text("ID\tTweet\t" + "\t".join(EMOTIONS) + "\n")
-    with open(workspace / "run.cfg", "a") as fh:
-        fh.write(f"train_path={header_only}\n")
+    set_config(workspace, f"train_path={header_only}\n")
     assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
     assert capsys.readouterr().err == f"error: {header_only}: no data rows after the header\n"
 
@@ -533,6 +562,10 @@ MINUS_CHAIN = "-" * 100_000 + "1"
         pytest.param(
             None, (b"threshold=0.5", b"threshold=1.5"), "threshold=1.5 must be finite and in [0, 1]",
             id="threshold above 1",
+        ),
+        pytest.param(
+            # seed, the last TrainingConfig field, is line 13; max_len, after d_emb, hidden and n_labels, is line 17
+            None, (b"max_len=6", b"seed=123\n"), "line 17: config key 'seed' already set on line 13", id="repeated key"
         ),
     ],
 )

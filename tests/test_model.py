@@ -371,8 +371,7 @@ class TestForward:
     def test_row_permutation_permutes_outputs(self):
         params = build_downsized(seed=0)
         rng = np.random.default_rng(18)
-        lengths = [3, 7, 1, 5, 2, 7]
-        msk = np.array([[1.0] * n + [0.0] * (7 - n) for n in lengths])
+        msk = verify.prefix_mask([3, 7, 1, 5, 2, 7], 7)
         idx = rng.integers(2, 20, size=(6, 7)) * msk.astype(np.int64)
         perm = rng.permutation(6)
         y, a1, a2 = forward(idx, msk, params)
@@ -390,7 +389,7 @@ class TestForward:
         # spatial_keep sends the same rows through the per-row GEMM
         params = init_params(random_embeddings(20, config.d_emb, seed=0), config, seed=0)
         rng = np.random.default_rng(22)
-        msk = np.array([[1.0] * n + [0.0] * (max(lengths) - n) for n in lengths])
+        msk = verify.prefix_mask(lengths, max(lengths))
         idx = rng.integers(2, 7, size=msk.shape) * msk.astype(np.int64)
         assert verify.token_projection_error(params, idx, msk) <= 1e-12
 
@@ -445,8 +444,7 @@ class TestForward:
 
 def ragged_rows(rng, n, T, lengths=None):
     """(indices, mask) of n rows with the given or random lengths in [1, T], PAD after."""
-    lengths = rng.integers(1, T + 1, size=n) if lengths is None else np.asarray(lengths)
-    msk = (np.arange(T) < lengths[:, None]).astype(np.float64)
+    msk = verify.prefix_mask(rng.integers(1, T + 1, size=n) if lengths is None else lengths, T)
     return rng.integers(2, 20, size=(n, T)) * msk.astype(np.int64), msk
 
 

@@ -107,7 +107,6 @@ class TestLoadTsv:
         assert len(raw) == 1
         active = {n for n, v in zip(tp.EMOTIONS, raw.labels[0]) if v}
         assert active == {"anger", "joy", "optimism"}
-        assert raw.ids[0] == "2017-En-1"
         assert raw.token_lists[0][0] == "the"
 
     def test_header_only(self, tmp_path):
@@ -151,7 +150,7 @@ class TestLoadTsv:
         path = tmp_path / "d.tsv"
         path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
         raw = tp.load_semeval_tsv(path)
-        assert raw.ids == [f"id-{i}" for i in range(20)]
+        assert raw.labels == [list(map(int, r.split("\t")[2:])) for r in rows]
         # brute-force per-emotion support count straight off the file text
         file_rows = [r.split("\t")[2:] for r in rows]
         for c in range(11):
@@ -163,7 +162,6 @@ class TestLoadTsv:
         path = tmp_path / "d.tsv"
         path.write_text(HEADER + "\nid\tfirst\u2028second\x85third\t1" + "\t0" * 10 + "\n", encoding="utf-8")
         raw = tp.load_semeval_tsv(path)
-        assert raw.ids == ["id"]
         assert raw.token_lists == [["first", "second", "third"]]
         assert raw.labels == [[1] + [0] * 10]
 
@@ -174,7 +172,7 @@ class TestLoadTsv:
         path = tmp_path / "d.tsv"
         path.write_bytes((newline.join(rows) + newline).encode())
         raw = tp.load_semeval_tsv(path)
-        assert raw.ids == ["id-0", "id-1", "id-2"]
+        assert len(raw) == 3
         assert [lab.index(1) for lab in raw.labels] == [0, 1, 2]
 
 
@@ -189,6 +187,25 @@ def test_decode_text_names_the_line_that_split_lines_gives(newline):
     data = newline.join([b"a", b"b", b"c\xe9", b"d"]) + newline
     with pytest.raises(ParseError, match=r"^d\.tsv: line 3 is not UTF-8$"):
         tp.decode_text(data, "d.tsv")
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+def test_decode_text_drops_one_leading_byte_order_mark():
+    assert tp.decode_text(BOM + b"I love it\n", "t.txt") == "I love it\n"
+    assert tp.decode_text(BOM + BOM + b"x", "t.txt") == "\ufeffx"
+    assert tp.decode_text(b"x" + BOM, "t.txt") == "x\ufeff"
+
+
+def test_byte_order_mark_keeps_the_line_of_a_bad_byte(tmp_path):
+    # the bad byte follows a line end, so a line count off by the mark's 3 bytes misses that end
+    with pytest.raises(ParseError, match=r"^d\.tsv: line 3 is not UTF-8$"):
+        tp.decode_text(BOM + b"a\nb\n\xe9c\n", "d.tsv")
+    path = tmp_path / "vec.txt"
+    path.write_bytes(BOM + b"cat 1.0 2.0\ndog 1.0 2.0\n\xe9 1.0 2.0\n")
+    with pytest.raises(ParseError, match=r"vec\.txt: line 3 is not UTF-8$"):
+        tp.load_embeddings(path, tp.build_vocabulary([["cat", "dog"]]), 2, seed=0)
 
 
 class TestEncode:
@@ -221,17 +238,16 @@ class TestEncode:
 
     def test_dataset_arrays(self):
         raw = tp.RawDataset(
-            ids=["a", "b", "c"],
             token_lists=[["x", "y"], ["y"], ["z", "x", "y", "w"]],
             labels=[[1] + [0] * 10, [0] * 10 + [1], [1, 1] + [0] * 9],
         )
         dataset = tp.encode_dataset(raw, tp.build_vocabulary(raw.token_lists), max_len=3)
-        idx, msk, lab = dataset.arrays()
-        assert idx.dtype == np.int64 and msk.dtype == lab.dtype == np.float64
+        idx, msk = dataset.arrays()
+        lab = dataset.label_matrix()
+        assert idx.dtype == lab.dtype == np.int64 and msk.dtype == np.float64
         assert idx.tolist() == [ex.indices for ex in dataset.examples]
         assert msk.tolist() == [[1, 1, 0], [1, 0, 0], [1, 1, 1]]
-        assert np.array_equal(lab.astype(np.int64), dataset.label_matrix())
-        assert np.array_equal(lab, dataset.label_matrix())
+        assert lab.tolist() == raw.labels
 
 
 class TestLoadEmbeddings:
@@ -254,6 +270,16 @@ class TestLoadEmbeddings:
         assert emb.weights[dog].tolist() == [1.0, 2.0]
         others = [i for i in range(len(vocab)) if i != dog]
         assert emb.weights[others].tobytes() == table[others].tobytes()
+
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        vocab = tp.build_vocabulary([["the", "cat", "dog"]])
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text("the 1.0 2.0\ncat 3.0 4.0\n")
+        marked.write_bytes(BOM + plain.read_bytes())
+        want = tp.load_embeddings(plain, vocab, 2, seed=7)
+        got = tp.load_embeddings(marked, vocab, 2, seed=7)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.coverage == want.coverage == 2 / 3
 
     def test_same_seed_bit_identical(self, tmp_path):
         vocab = tp.build_vocabulary([["cat", "dog", "bird"]])

@@ -365,7 +365,8 @@ class TestTrain:
 
 def per_batch_loss(dataset, params, config):
     """Oracle: the mean of per-batch weighted losses over file-order batches."""
-    idx, msk, lab = dataset.arrays()
+    idx, msk = dataset.arrays()
+    lab = dataset.label_matrix()
     n, total = len(dataset), 0.0
     for start in range(0, n, config.batch_size):
         end = min(start + config.batch_size, n)

@@ -15,9 +15,9 @@ both source trees, each command in a child process with one BLAS thread:
 
 It compares each command's exit status, stdout and stderr, each checkpoint's
 bytes and each training log without its ``elapsed_seconds`` column. It
-prints a header line naming the numpy version and the BLAS library it was
-built against, then one verdict line per output, and exits 1 when any
-output differs.
+prints a header line naming the numpy version, the BLAS library it was
+built against and the CPU kernel that library runs, then one verdict line
+per output, and exits 1 when any output differs.
 Same-seed bytes hold across processes only at the same BLAS thread count,
 CPU kernel and numpy build, hence the pinned thread count. The workload
 inputs come from ``perfbench/worker.py``, which is only read.
@@ -26,6 +26,7 @@ inputs come from ``perfbench/worker.py``, which is only read.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import io
 import os
@@ -129,6 +130,24 @@ def outputs(tree: Path, work: Path, cases: dict[str, dict]) -> dict[str, bytes]:
     return out
 
 
+def blas_core() -> str:
+    """The CPU kernel the loaded BLAS library runs, as OpenBLAS names it, or
+    ``unknown`` when no loaded BLAS library reports one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower() and ".so" in line}
+        for lib in sorted(libs):
+            handle = ctypes.CDLL(lib)
+            for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+                if hasattr(handle, sym):
+                    corename = getattr(handle, sym)
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                    return corename().decode()
+    except OSError:
+        pass
+    return "unknown"
+
+
 def summary(data: bytes) -> str:
     """The one stdout line of a short output, else a digest."""
     lines = data.splitlines()
@@ -159,7 +178,7 @@ def main(argv=None) -> int:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     print(
         f"base {rev[:12]} against the working tree at {ROOT}, 1 BLAS thread, "
-        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} running {blas_core()} kernels"
     )
     differ = 0
     for name, want in got_base.items():
