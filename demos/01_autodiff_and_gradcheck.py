@@ -42,5 +42,5 @@ except Exception as exc:
 # finite-difference verification of the whole expression
 for p in (A, B, b, C):
     p.zero_grad()
-err = grad_check(f, [A, B, b, C], eps=1e-5)
+err = grad_check(f, [A, B, b, C])
 print(f"max relative error vs finite differences: {err:.2e}")

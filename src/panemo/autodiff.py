@@ -41,16 +41,9 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if trainable else None
         self._op_output = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, trainable={self.trainable})"
 
 
 class Tape:

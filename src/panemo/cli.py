@@ -70,10 +70,18 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{args.config}: missing required key {key!r}")
     tcfg = TrainingConfig(**{f.name: run[f.name] for f in fields(TrainingConfig)})
     max_len, min_count, d_emb, hidden = run["max_len"], run["min_count"], run["d_emb"], run["hidden"]
-    # written only after training, so a missing directory is caught now
+    # written only after training, so a bad output path is caught now
+    files = {"the run config": args.config, **{key: run[key] for key in _PATH_KEYS if key in run}}
     for key in ("log_path", "checkpoint_path"):
-        if not Path(run[key]).parent.is_dir():
-            raise ConfigError(f"{key}={run[key]}: directory {Path(run[key]).parent} does not exist")
+        path = Path(run[key])
+        if not path.parent.is_dir():
+            raise ConfigError(f"{key}={run[key]}: directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ConfigError(f"{key}={run[key]}: is a directory")
+        for name, other in files.items():
+            if path.resolve() == Path(other).resolve():
+                raise ConfigError(f"{key}={run[key]}: is the same file as {name}")
+        files[key] = run[key]
 
     raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
     raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))
@@ -228,7 +236,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE
-    except (ConfigError, ParseError, CheckpointError, TrainingDivergedError, OSError) as exc:
+    except (ConfigError, ParseError, CheckpointError, TrainingDivergedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .metrics import valid_threshold
-from .model import ModelConfig, ModelParams, Workspace, dropout_mask, forward, predict_scores
+from .model import GruDirectionParams, ModelConfig, ModelParams, Workspace, dropout_mask, forward, predict_scores
 from .textprep import NUM_EMOTIONS, Dataset, split_lines
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
@@ -189,35 +189,37 @@ def l2_penalty(params: ModelParams, coeff: float) -> Tensor:
     return out
 
 
-def noisy_weight(clean: Tensor, noise: np.ndarray) -> Tensor:
-    """``clean`` plus a constant ``noise``, as a trainable tensor that shares
-    the clean weight's gradient buffer: whatever gradient reaches the noisy
-    weight lands on the clean one, with no tape record."""
-    noisy = Tensor(clean.data + noise)
-    noisy.trainable, noisy.grad = True, clean.grad
-    return noisy
-
-
 _NOISY_WEIGHTS = ("W_hr", "W_hz", "W_hn")
+
+
+def noisy_direction(direction: GruDirectionParams, noise) -> GruDirectionParams:
+    """A copy of ``direction`` with the three constant ``noise`` arrays added
+    to W_hr, W_hz and W_hn, in that order. Each noisy weight is a trainable
+    tensor that shares the clean weight's gradient buffer: whatever gradient
+    reaches it lands on the clean one, with no tape record."""
+    noisy = copy.copy(direction)
+    for name, eps in zip(_NOISY_WEIGHTS, noise, strict=True):
+        clean = getattr(direction, name)
+        weight = Tensor(clean.data + eps)
+        weight.trainable, weight.grad = True, clean.grad
+        setattr(noisy, name, weight)
+    return noisy
 
 
 def perturb_hidden_weights(params: ModelParams, sigma: float, rng) -> ModelParams:
     """Noisy view of params for one step: N(0, sigma^2) on GRU hidden weights.
 
     Gradients of the perturbed forward land on the clean weights
-    (``noisy_weight``); the noise itself is never stored. Eval always uses
+    (``noisy_direction``); the noise itself is never stored. Eval always uses
     the clean params.
     """
     if sigma == 0.0:
         return params
     noisy = copy.copy(params)
     for gru_name in ("gru1_fwd", "gru1_bwd", "gru2_fwd", "gru2_bwd"):
-        direction = copy.copy(getattr(params, gru_name))
-        for w_name in _NOISY_WEIGHTS:
-            clean = getattr(direction, w_name)
-            noise = rng.normal(0.0, sigma, size=clean.data.shape)
-            setattr(direction, w_name, noisy_weight(clean, noise))
-        setattr(noisy, gru_name, direction)
+        direction = getattr(params, gru_name)
+        noise = [rng.normal(0.0, sigma, size=getattr(direction, w).data.shape) for w in _NOISY_WEIGHTS]
+        setattr(noisy, gru_name, noisy_direction(direction, noise))
     return noisy
 
 

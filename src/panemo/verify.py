@@ -12,7 +12,6 @@ text and piece.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Callable, Sequence
 
@@ -50,7 +49,7 @@ from .textprep import (
     random_embeddings,
     tokenize,
 )
-from .training import TrainingConfig, batch_loss, noisy_weight
+from .training import TrainingConfig, batch_loss, noisy_direction
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +62,14 @@ GRADCHECK_EPS = 1e-5
 GRADCHECK_L2 = 1e-3
 
 
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    eps: float = GRADCHECK_EPS,
-) -> float:
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     ``f`` builds a scalar loss from the current ``.data`` of ``params``; it
     must be deterministic (any internal randomness fixed by seed). The
     analytic gradient comes from one taped forward/backward; the numeric one
-    perturbs each parameter component in place by ±eps.
+    perturbs each parameter component in place by ±GRADCHECK_EPS.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     for p in params:
         p.zero_grad()
     with ad.Tape() as tape:
@@ -94,12 +87,12 @@ def grad_check(
         aflat = analytic.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRADCHECK_EPS
             fp = float(f().data)
-            flat[i] = orig - eps
+            flat[i] = orig - GRADCHECK_EPS
             fm = float(f().data)
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
+            numeric = (fp - fm) / (2.0 * GRADCHECK_EPS)
             denom = max(abs(aflat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(aflat[i] - numeric) / denom)
     return worst
@@ -427,6 +420,14 @@ def random_gru(rng, d_in: int, hidden: int, scale: float = 0.5) -> GruDirectionP
     return gru_direction(d_in, hidden, lambda shape: rng.uniform(-scale, scale, shape))
 
 
+def random_attention(rng, d_u: int) -> AttentionParams:
+    """A trainable attention scorer over ``d_u`` features with uniform(-1, 1)
+    entries drawn from ``rng``: w_a, then b."""
+    return AttentionParams(
+        w_a=Tensor(rng.uniform(-1, 1, (d_u, 1)), trainable=True), b=Tensor(rng.uniform(-1, 1, 1), trainable=True)
+    )
+
+
 def unpack(pack: Packing, rows: np.ndarray) -> np.ndarray:
     """(N, ...) packed rows of ``pack`` as a (T, B, ...) array, zero where nothing is scanned."""
     if not pack.packed:
@@ -464,24 +465,23 @@ TOKEN_ID_GRIDS = {
 }
 
 
-def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=None, ids=None) -> float:
+def check_fused_bigru(seed: int = 0, mask=None, ids=None) -> float:
     """Worst relative difference between ``model.bigru_layer`` and the per-step
     oracle: the outputs, dX and the gradients of all 24 gate tensors.
 
     By default the batch has the ragged prefix masks of ``_oracle_mask``; a
-    given (B, T) prefix ``mask`` replaces them and sets T and B. Given
-    ``ids``, one of ``TOKEN_ID_GRIDS``, x's rows are the rows of a random
-    table at the grid's ids, and the fused layer gets the packed ids, so it
-    projects each distinct id once. The hidden weights carry noise built as
-    in a training step (``noisy_weight``), so the gate gradients reach the
+    given (B, T) prefix ``mask`` replaces them. Given ``ids``, one of
+    ``TOKEN_ID_GRIDS``, x's rows are the rows of a random table at the
+    grid's ids, and the fused layer gets the packed ids, so it projects each
+    distinct id once. The hidden weights carry noise built as
+    in a training step (``noisy_direction``), so the gate gradients reach the
     clean weights through the shared buffers.
     """
     rng = np.random.default_rng(seed)
-    if mask is not None:
-        B, T = mask.shape
     dirs = [random_gru(rng, ORACLE_D, ORACLE_HIDDEN) for _ in range(2)]
     if mask is None:
-        mask = _oracle_mask(rng, T, B)
+        mask = _oracle_mask(rng, ORACLE_T, ORACLE_B)
+    B, T = mask.shape
     if ids is None:
         x = rng.uniform(-1, 1, (T, B, ORACLE_D)) * mask.T[:, :, None]
     else:
@@ -492,17 +492,12 @@ def check_fused_bigru(seed: int = 0, T: int = ORACLE_T, B: int = ORACLE_B, mask=
     probe = rng.uniform(-1, 1, (T, B, 2 * ORACLE_HIDDEN))  # loss = sum(probe * outputs)
     noise = [rng.normal(0.0, 0.1, (3, ORACLE_HIDDEN, ORACLE_HIDDEN)) for _ in dirs]
 
-    def noisy(p, eps):
-        return dataclasses.replace(
-            p, **{name: noisy_weight(getattr(p, name), e) for name, e in zip(("W_hr", "W_hz", "W_hn"), eps)}
-        )
-
     def run(fused: bool):
         for p in dirs:
             for t in vars(p).values():
                 t.zero_grad()
         with ad.Tape() as tape:
-            fwd, bwd = (noisy(p, eps) for p, eps in zip(dirs, noise))
+            fwd, bwd = map(noisy_direction, dirs, noise)
             if fused:
                 xs = Tensor(pack.pack(x), trainable=True)
                 out = bigru_layer(xs, fwd, bwd, mask, pack, ids=token_ids)
@@ -565,10 +560,7 @@ def check_fused_attention(seed: int = 0, mask=None) -> float:
     pack = Packing(mask)
     u = rng.uniform(-1, 1, (T, B, d))
     split = d // 2
-    p = AttentionParams(
-        w_a=Tensor(rng.uniform(-1, 1, (d, 1)), trainable=True),
-        b=Tensor(rng.uniform(-1, 1, 1), trainable=True),
-    )
+    p = random_attention(rng, d)
     probe = rng.uniform(-1, 1, (B, d))
 
     def run(fused: bool):
@@ -838,10 +830,7 @@ def check_attention_convex_hull(n_trials: int = 500, seed: int = 0) -> float:
         n_valid = int(rng.integers(1, T + 1))
         mask = prefix_mask([n_valid], T)
         u = rng.uniform(-2, 2, size=(T, 1, d))
-        p = AttentionParams(
-            w_a=ad.Tensor(rng.uniform(-1, 1, size=(d, 1)), trainable=True),
-            b=ad.Tensor(rng.uniform(-1, 1, size=1), trainable=True),
-        )
+        p = random_attention(rng, d)
         pack = Packing(mask)
         v, _ = attention_pool([ad.Tensor(pack.pack(u))], p, pack)
         valid = u[:n_valid, 0]
@@ -915,7 +904,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
     attention_masks += [
         random_ragged_mask(rng, int(rng.integers(1, 10)), int(rng.integers(1, 8))) for _ in oracle_seeds
     ]
-    packed_attention = max(check_fused_attention(s, mask=m) for s in oracle_seeds for m in attention_masks)
+    attention = max(check_fused_attention(s, mask=m) for s in oracle_seeds for m in [None, *attention_masks])
     token_projection = max(
         check_fused_bigru(s, mask=m, ids=ids)
         for s in oracle_seeds
@@ -930,8 +919,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         ("padding invariance", check_padding_invariance(params, max(n // 10, 20), seed), 1e-12),
         ("metric oracle equivalence", check_metric_oracles(n_metrics, seed=seed), 1e-12),
         ("fused BiGRU vs per-step oracle", bigru, 1e-12),
-        ("fused attention vs per-position oracle", max(map(check_fused_attention, oracle_seeds)), 1e-12),
-        ("packed attention vs per-position oracle", packed_attention, 1e-12),
+        ("fused attention vs per-position oracle", attention, 1e-12),
         ("distinct-token projection vs per-step oracle and per-row GEMM", token_projection, 1e-12),
         ("dense head vs composed oracle ops", check_fused_head(oracle_seeds), 1e-12),
         ("tokenizer vs reference oracle", check_tokenizer_oracle(1000 if quick else 5000, seed), 1e-12),

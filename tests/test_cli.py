@@ -146,7 +146,7 @@ def test_gradcheck_train_mode(capsys):
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 9
 
 
 @pytest.mark.parametrize(
@@ -196,6 +196,20 @@ def test_same_bits_cli_case_matches_fixture(workspace, tmp_path, monkeypatch):
         assert all(case[key].is_file() for key in ("config", "data", "lines", "stdin"))
         run = load_run_config(case["config"])
         assert all(Path(run[key]).is_file() for key in _PATH_KEYS if key in run)
+
+
+def test_same_bits_prints_changed_lines(monkeypatch):
+    """A differing UTF-8 output shows its removed and added lines, at most
+    DIFF_LINES of them; an output that is not UTF-8 shows none."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "tools"))
+    import same_bits
+
+    want = b"exit 0\n--- stdout\nPASS  a: 1\nPASS  b: 2\nPASS  c: 3\n"
+    got = b"exit 0\n--- stdout\nPASS  a: 1\nPASS  c: 4\n"
+    assert same_bits.changed_lines(want, got) == ["- PASS  b: 2", "- PASS  c: 3", "+ PASS  c: 4"]
+    many = "".join(f"{i}\n" for i in range(100)).encode()
+    assert len(same_bits.changed_lines(many, b"")) == same_bits.DIFF_LINES
+    assert same_bits.changed_lines(b"PANCKPT1\x00\xff\n", b"PANCKPT1\x00\xfe\n") == []
 
 
 def test_byte_order_mark_is_not_text(workspace, capsys, monkeypatch):
@@ -253,6 +267,7 @@ EMPTY_TWEET_ROW = "t-9\t   \t" + "\t".join(["0"] * 11) + "\n"
         ("threshold=7\n", "", "threshold=7"),
         ("max_epochs=0\n", "", "max_epochs=0"),
         ("max_len=1000000000000\n", "", "max_len=1000000000000 must be <= 10000"),
+        ("d_emb=1000000000000000\n", "", "Unable to allocate"),
         pytest.param(
             "seed=" + "7" * 100_000 + "\n", "", f"seed='{'7' * SHOWN_CHARS}'... (100000 characters) is not a valid int",
             id="seed of 100000 digits",
@@ -288,6 +303,30 @@ def test_bad_input_is_user_error(workspace, capsys, config_line, dev_row, messag
     assert len(err) < len(str(workspace)) + 200
     assert not (workspace / "best.ckpt").exists()
     assert not (workspace / "log.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "config_line, message",
+    [
+        ("log_path={ws}\n", "log_path={ws}: is a directory"),
+        ("checkpoint_path={ws}/dev.tsv\n", "checkpoint_path={ws}/dev.tsv: is the same file as dev_path"),
+        ("log_path={ws}/best.ckpt\n", "is the same file as log_path"),
+        ("checkpoint_path={ws}/run.cfg\n", "checkpoint_path={ws}/run.cfg: is the same file as the run config"),
+    ],
+    ids=["log is a directory", "checkpoint is the dev TSV", "log is the checkpoint", "checkpoint is the run config"],
+)
+def test_bad_output_path_is_user_error(workspace, capsys, config_line, message):
+    """An output path that is a directory, an input or the other output
+    exits 1 with one error line before any data is read, and writes nothing."""
+    set_config(workspace, config_line.format(ws=workspace))
+    dev = (workspace / "dev.tsv").read_bytes()
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message.format(ws=workspace) in err and err.count("\n") == 1
+    assert not (workspace / "best.ckpt").exists()
+    assert not (workspace / "log.tsv").exists()
+    assert (workspace / "dev.tsv").read_bytes() == dev
 
 
 @pytest.mark.parametrize("tau, labels", [("0", ",".join(EMOTIONS)), ("1", "(none)")], ids=["0", "1"])

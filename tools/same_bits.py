@@ -17,7 +17,9 @@ It compares each command's exit status, stdout and stderr, each checkpoint's
 bytes and each training log without its ``elapsed_seconds`` column. It
 prints a header line naming the numpy version, the BLAS library it was
 built against and the CPU kernel that library runs, then one verdict line
-per output, and exits 1 when any output differs.
+per output, and exits 1 when any output differs. Under the verdict of an
+output that differs and decodes as UTF-8, it prints the removed and added
+lines, at most ``DIFF_LINES`` of them.
 Same-seed bytes hold across processes only at the same BLAS thread count,
 CPU kernel and numpy build, hence the pinned thread count. The workload
 inputs come from ``perfbench/worker.py``, which is only read.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import difflib
 import hashlib
 import io
 import os
@@ -48,6 +51,7 @@ CLI_WORDS = ["happy", "angry", "sad", "calm", "wow", "meh", "yay", "ugh"]
 CLI_CONFIG = "d_emb=8\nhidden=4\nmax_len=6\nbatch_size=4\nmax_epochs=2\nseed=3\n"
 WORKLOAD_CONFIG = "max_epochs=2\nseed=1\n"
 CHILD_TIMEOUT_S = 600
+DIFF_LINES = 40
 
 
 def write_cli_tsv(path: Path, n_rows: int, seed: int):
@@ -156,6 +160,17 @@ def summary(data: bytes) -> str:
     return f"{len(data)} bytes, sha256 {hashlib.sha256(data).hexdigest()[:16]}"
 
 
+def changed_lines(want: bytes, got: bytes) -> list[str]:
+    """The lines removed from ``want`` and added in ``got``, in ``difflib.ndiff``
+    form and at most ``DIFF_LINES`` of them; none when either is not UTF-8."""
+    try:
+        old, new = want.decode(), got.decode()
+    except UnicodeDecodeError:
+        return []
+    lines = [line for line in difflib.ndiff(old.splitlines(), new.splitlines()) if line[:2] in ("- ", "+ ")]
+    return lines[:DIFF_LINES]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree against")
@@ -185,6 +200,9 @@ def main(argv=None) -> int:
         same = got_here[name] == want
         differ += not same
         print(f"{'same  ' if same else 'DIFFER'}  {name}  [{summary(want) if same else 'base and working tree differ'}]")
+        if not same:
+            for line in changed_lines(want, got_here[name]):
+                print(f"          {line}")
     print(f"{len(got_base) - differ} of {len(got_base)} outputs identical")
     return 1 if differ else 0
 
