@@ -83,27 +83,34 @@ def cmd_train(args) -> int:
                 raise ConfigError(f"{key}={run[key]}: is the same file as {name}")
         files[key] = run[key]
 
-    raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
-    raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))
-    # read now, so a missing or malformed test file fails before training
-    raw_test = textprep.load_semeval_tsv(_require_file(run["test_path"], "test TSV")) if "test_path" in run else None
-    vocab = textprep.build_vocabulary(raw_train.token_lists, min_count)
+    # Ctrl-C before training ends: nothing has been written yet
+    try:
+        raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
+        raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))
+        # read now, so a missing or malformed test file fails before training
+        raw_test = None
+        if "test_path" in run:
+            raw_test = textprep.load_semeval_tsv(_require_file(run["test_path"], "test TSV"))
+        vocab = textprep.build_vocabulary(raw_train.token_lists, min_count)
 
-    if "embeddings_path" in run:
-        emb = textprep.load_embeddings(
-            _require_file(run["embeddings_path"], "embeddings file"), vocab, d_emb, tcfg.seed
-        )
-        print(f"embedding coverage: {emb.coverage:.3f}")
-    else:
-        emb = textprep.random_embeddings(len(vocab), d_emb, tcfg.seed)
+        if "embeddings_path" in run:
+            emb = textprep.load_embeddings(
+                _require_file(run["embeddings_path"], "embeddings file"), vocab, d_emb, tcfg.seed
+            )
+            print(f"embedding coverage: {emb.coverage:.3f}")
+        else:
+            emb = textprep.random_embeddings(len(vocab), d_emb, tcfg.seed)
 
-    train_set = textprep.encode_dataset(raw_train, vocab, max_len)
-    dev_set = textprep.encode_dataset(raw_dev, vocab, max_len)
-    print(_load_report("train", raw_train, train_set, max_len))
-    print(_load_report("dev", raw_dev, dev_set, max_len))
-    params = init_params(emb, ModelConfig(d_emb=d_emb, hidden=hidden), tcfg.seed)
+        train_set = textprep.encode_dataset(raw_train, vocab, max_len)
+        dev_set = textprep.encode_dataset(raw_dev, vocab, max_len)
+        print(_load_report("train", raw_train, train_set, max_len))
+        print(_load_report("dev", raw_dev, dev_set, max_len))
+        params = init_params(emb, ModelConfig(d_emb=d_emb, hidden=hidden), tcfg.seed)
 
-    params, log = train(train_set, dev_set, tcfg, params, log_path=run["log_path"])
+        params, log = train(train_set, dev_set, tcfg, params, log_path=run["log_path"])
+    except KeyboardInterrupt:
+        print("interrupted: no checkpoint was written", file=sys.stderr)
+        return 130
     ckpt.save_checkpoint(
         params,
         vocab,

@@ -206,9 +206,10 @@ class Packing:
     The sequence layers pass such (N, d) rows from one to the next, so no
     padded position is stored or computed on.
 
-    When every row ends at T the packing is the identity (``packed`` is
-    False): row t * B + b is time t of batch row b, and each conversion
-    below is a reshape instead of a gather.
+    Packing alone decides how far a batch is scanned: S steps, to the end of
+    its longest row. When every row ends at S the packing is the identity
+    (``packed`` is False): row t * B + b is time t < S of batch row b, and
+    each conversion below is a reshape instead of a gather.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -219,7 +220,7 @@ class Packing:
         off = np.concatenate([[0], np.cumsum(k)])
         S, N = k.size, int(off[-1])
         self.T, self.B, self.S, self.N = T, B, S, N
-        self.packed = N < T * B
+        self.packed = N < S * B
         self.order = order
         if self.packed:
             step = np.repeat(np.arange(S), k)
@@ -243,12 +244,12 @@ class Packing:
             (self.off[s0], self.off[s1], s1 - s0, self.k[s0]) for s0, s1 in zip(firsts, firsts[1:] + [S])
         ]
         # the backward scan's step s is read at this row of the forward-packed
-        # projection; unpacked, that is time T - 1 - s
+        # projection; unpacked, that is time S - 1 - s
         self.boff = self.off[:S] if self.packed else self.off[S - 1 :: -1]
 
     def pack(self, a: np.ndarray) -> np.ndarray:
         """A (T, B, ...) per-position array as its (N, ...) packed rows."""
-        rows = a.reshape(self.T * self.B, *a.shape[2:])
+        rows = a[: self.S].reshape(self.S * self.B, *a.shape[2:])
         return rows[self.index] if self.packed else rows
 
     def to_grid(self, values: np.ndarray) -> np.ndarray:
@@ -277,7 +278,7 @@ class Packing:
         """(N, d) rows times the (B, d) factor of each one's batch row."""
         if self.packed:
             return rows * per_row[self.batch]
-        return (rows.reshape(self.T, self.B, -1) * per_row).reshape(self.N, -1)
+        return (rows.reshape(self.S, self.B, -1) * per_row).reshape(self.N, -1)
 
 
 def embed(ids: np.ndarray, embedding: Tensor) -> Tensor:
@@ -370,7 +371,7 @@ def bigru_layer(
     if ws is None:
         ws = Workspace()
     x_rows = x.data
-    T, B, S, N = pack.T, pack.B, pack.S, pack.N
+    B, S, N = pack.B, pack.S, pack.N
     H = fwd.W_hr.data.shape[0]
     dirs = (fwd, bwd)
     W_i = np.concatenate([getattr(p, f"W_i{g}").data for p in dirs for g in "rzn"], axis=1)
@@ -456,8 +457,8 @@ def bigru_layer(
     y.data[:, :H] = C[0]
     if pack.packed:
         y.data.reshape(2 * N, H)[pack.bhalf] = C[1]
-    else:  # the backward scan's step s is time T - 1 - s
-        y.data.reshape(T, B, 2 * H)[..., H:] = C[1].reshape(T, B, H)[::-1]
+    else:  # the backward scan's step s is time S - 1 - s
+        y.data.reshape(S, B, 2 * H)[..., H:] = C[1].reshape(S, B, H)[::-1]
 
     def backward():
         g = y.grad
@@ -468,7 +469,7 @@ def bigru_layer(
         if pack.packed:
             np.take(g.reshape(2 * N, H), pack.bhalf, axis=0, mode="clip", out=G[1])
         else:
-            G[1].reshape(T, B, H)[...] = g.reshape(T, B, 2 * H)[::-1, :, H:]
+            G[1].reshape(S, B, H)[...] = g.reshape(S, B, 2 * H)[::-1, :, H:]
         W_hT = W_h.transpose(0, 2, 1)
         D_xp = ws.take("xp", (N, 6 * H))  # d loss / d (x W_i + b_i), forward-packed
         D_b = ws.take("xb", (N, 3 * H)) if pack.packed else D_xp[:, 3 * H :]  # its backward half, as xb
@@ -640,6 +641,8 @@ def forward(
     """Full forward pass over a (B, T) batch.
 
     Returns (yhat (B, NUM_EMOTIONS), attention weights layer 1 (B, T), layer 2).
+    ``Packing`` scans only to the end of the longest row, and both maps come
+    back (B, T) from ``attention_pool``, zero after it, with no padding step.
     A training step passes inverted-dropout keep masks from ``dropout_mask``:
     ``spatial_keep`` (B, d_emb) scales each example's embedding channels at
     every position, ``dense_keep`` (B, d_v) the pooled vector before the
@@ -651,14 +654,8 @@ def forward(
     each BiGRU layer allocates its arrays afresh.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    T = mask.shape[1]
-    # Positions past the batch's longest valid length are padding in every
-    # row and never scanned. Trimming them makes a batch whose rows all end
-    # at the same position an unpacked one, with no gather.
-    length = max(int(row_ends(mask).max(initial=0)), 1)
-    mask = mask[:, :length]
     pack = Packing(mask)
-    ids = pack.pack(np.asarray(indices)[:, :length].T)
+    ids = pack.pack(np.asarray(indices).T)
     x = embed(ids, params.embedding)
     if spatial_keep is not None:
         # the embedding is frozen, so the dropped-out input needs no gradient
@@ -671,8 +668,7 @@ def forward(
     v1, a1 = attention_pool([h1, x], params.attn1, pack)
     v2, a2 = attention_pool([h2, h1, x], params.attn2, pack)
     yhat = head(v1, v2, params.W_d, params.b_d, dense_keep)
-    pad = ((0, 0), (0, T - length))
-    return yhat, np.pad(a1, pad), np.pad(a2, pad)
+    return yhat, a1, a2
 
 
 def predict_scores(dataset_indices, dataset_mask, params, batch_size: int = 64) -> np.ndarray:

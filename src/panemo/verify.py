@@ -430,10 +430,8 @@ def random_attention(rng, d_u: int) -> AttentionParams:
 
 def unpack(pack: Packing, rows: np.ndarray) -> np.ndarray:
     """(N, ...) packed rows of ``pack`` as a (T, B, ...) array, zero where nothing is scanned."""
-    if not pack.packed:
-        return rows.reshape(pack.T, pack.B, *rows.shape[1:])
     out = np.zeros((pack.T * pack.B, *rows.shape[1:]))
-    out[pack.index] = rows
+    out[pack.pack(np.arange(pack.T * pack.B).reshape(pack.T, pack.B))] = rows
     return out.reshape(pack.T, pack.B, *rows.shape[1:])
 
 
@@ -843,7 +841,7 @@ def check_padding_invariance(params: ModelParams, n_trials: int = 50, seed: int 
     """Max |Δŷ| from appending 3 PAD tokens, eval mode.
 
     The padded row shares its batch with a row 3 tokens longer, so its PAD
-    positions are packed out of the scan rather than trimmed away.
+    positions lie inside the scanned steps and are packed out of the scan.
     """
     rng = np.random.default_rng(seed)
     vocab_size = params.embedding.data.shape[0]

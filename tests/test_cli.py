@@ -2,6 +2,7 @@ import io
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -210,6 +211,19 @@ def test_same_bits_prints_changed_lines(monkeypatch):
     many = "".join(f"{i}\n" for i in range(100)).encode()
     assert len(same_bits.changed_lines(many, b"")) == same_bits.DIFF_LINES
     assert same_bits.changed_lines(b"PANCKPT1\x00\xff\n", b"PANCKPT1\x00\xfe\n") == []
+
+
+def test_same_bits_hides_temporary_root(monkeypatch):
+    """Every mention of the random temporary root reads ``<tmp>``, so two runs
+    hash and print the same outputs."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "tools"))
+    import same_bits
+
+    got = {"train": b"test set at best epoch 2: /work/same_bits-x1y2/inputs/t/test.tsv\n", "ckpt": b"\x00\xff"}
+    assert same_bits.without_tmp(got, Path("/work/same_bits-x1y2")) == {
+        "train": b"test set at best epoch 2: <tmp>/inputs/t/test.tsv\n",
+        "ckpt": b"\x00\xff",
+    }
 
 
 def test_byte_order_mark_is_not_text(workspace, capsys, monkeypatch):
@@ -771,6 +785,27 @@ def test_closed_stdout_exits_141_silently(workspace, capsys):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_interrupted_train_exits_130_with_one_line(workspace):
+    """SIGINT during training ends ``panemo train`` with 128 + SIGINT, one
+    stderr line and no traceback; it writes no checkpoint and no log."""
+    write_tsv(workspace / "train.tsv", 3000, seed=0)  # too many rows and epochs to finish first
+    set_config(workspace, "max_epochs=1000\nearly_stop_patience=1000\n")
+    proc = subprocess.Popen(
+        PANEMO + RUN, cwd=workspace, env=child_env(PYTHONUNBUFFERED="1"), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        for line in proc.stdout:
+            if line.startswith(b"dev data:"):
+                proc.send_signal(signal.SIGINT)
+                break
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert err == b"interrupted: no checkpoint was written\n"
+    assert not (workspace / "best.ckpt").exists() and not (workspace / "log.tsv").exists()
 
 
 def test_train_bytes_identical_across_processes(workspace):

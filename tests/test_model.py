@@ -247,6 +247,15 @@ class TestPacking:
         assert np.shares_memory(pack.pack(seq), seq)  # a reshape, not a gather
         np.testing.assert_array_equal(unpack(pack, pack.pack(seq)), seq)
 
+    def test_identity_when_every_row_ends_at_s(self):
+        pack = Packing(verify.prefix_mask([3, 3, 3], 5))
+        assert not pack.packed and pack.S == 3
+        seq = np.arange(45.0).reshape(5, 3, 3)
+        assert np.shares_memory(pack.pack(seq), seq)  # a reshape, not a gather
+        out = unpack(pack, pack.pack(seq))
+        np.testing.assert_array_equal(out[:3], seq[:3])
+        assert not out[3:].any()
+
     @pytest.mark.parametrize("name", sorted(verify.PACKING_MASKS))
     def test_round_trips(self, name):
         mask = verify.PACKING_MASKS[name]
@@ -353,16 +362,24 @@ class TestForward:
         y2, _, _ = forward(idx_p, msk_p, params)
         assert np.abs(y1.data - y2.data).max() < 1e-12
 
-    def test_trimmed_batch_keeps_input_length(self):
+    @pytest.mark.parametrize(
+        "idx",
+        [[[2, 3, 0, 0, 0, 0], [4, 5, 6, 0, 0, 0]], [[2, 3, 7, 0, 0, 0], [4, 5, 6, 0, 0, 0]]],
+        ids=["ragged", "equal"],
+    )
+    def test_maps_keep_input_length(self, idx):
+        """Steps past the longest row are never scanned, yet both maps span
+        all T = 6 input positions, zero after the longest row's end."""
         params = build_downsized(seed=0)
-        idx = np.array([[2, 3, 0, 0, 0, 0], [4, 5, 6, 0, 0, 0]])
+        idx = np.array(idx)
         msk = (idx > 0).astype(float)
         yhat, a1, a2 = forward(idx, msk, params)
         y_short, b1, b2 = forward(idx[:, :3], msk[:, :3], params)
         assert yhat.data.tobytes() == y_short.data.tobytes()
-        assert a1.shape == (2, 6) and a2.shape == (2, 6)
-        np.testing.assert_array_equal(a1[:, :3], b1)
-        np.testing.assert_array_equal(a2[:, 3:], np.zeros((2, 3)))
+        for a, b in ((a1, b1), (a2, b2)):
+            assert a.shape == (2, 6)
+            np.testing.assert_array_equal(a[:, :3], b)
+            np.testing.assert_array_equal(a[:, 3:], np.zeros((2, 3)))
 
     def test_row_permutation_permutes_outputs(self):
         params = build_downsized(seed=0)

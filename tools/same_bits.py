@@ -14,7 +14,8 @@ both source trees, each command in a child process with one BLAS thread:
 - ``selftest --quick``.
 
 It compares each command's exit status, stdout and stderr, each checkpoint's
-bytes and each training log without its ``elapsed_seconds`` column. It
+bytes and each training log without its ``elapsed_seconds`` column, each
+with the random temporary root written as ``<tmp>``. It
 prints a header line naming the numpy version, the BLAS library it was
 built against and the CPU kernel that library runs, then one verdict line
 per output, and exits 1 when any output differs. Under the verdict of an
@@ -134,6 +135,12 @@ def outputs(tree: Path, work: Path, cases: dict[str, dict]) -> dict[str, bytes]:
     return out
 
 
+def without_tmp(got: dict[str, bytes], tmp: Path) -> dict[str, bytes]:
+    """``got`` with each mention of the temporary root ``tmp``, whose name is
+    random, replaced by ``<tmp>``, so two runs print the same transcript."""
+    return {name: data.replace(str(tmp).encode(), b"<tmp>") for name, data in got.items()}
+
+
 def blas_core() -> str:
     """The CPU kernel the loaded BLAS library runs, as OpenBLAS names it, or
     ``unknown`` when no loaded BLAS library reports one."""
@@ -188,8 +195,8 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         cases = make_cases(inputs)
-        got_base = outputs(base, tmp / "runs-base", cases)
-        got_here = outputs(ROOT, tmp / "runs-here", cases)
+        got_base = without_tmp(outputs(base, tmp / "runs-base", cases), tmp)
+        got_here = without_tmp(outputs(ROOT, tmp / "runs-here", cases), tmp)
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     print(
         f"base {rev[:12]} against the working tree at {ROOT}, 1 BLAS thread, "
