@@ -12,7 +12,8 @@ Layout (all integers little-endian):
     u32 config block length, UTF-8 "key=value" lines
     float64 best validation loss
 
-Two saves of equal content are byte-identical.
+Two saves of equal content are byte-identical. A save replaces the file
+whole (``textprep.write_file``), so an interrupted one keeps the old file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams, param_layout, params_from_arrays
-from .textprep import NUM_EMOTIONS, Vocabulary
+from .textprep import NUM_EMOTIONS, Vocabulary, write_file
 from .training import TrainingConfig, read_settings
 
 MAGIC = b"PANCKPT1"
@@ -76,8 +77,7 @@ def save_checkpoint(
     _write_block(out, "\n".join(config_lines).encode("utf-8"))
 
     out += struct.pack("<d", best_val_loss)
-    with open(path, "wb") as fh:
-        fh.write(out)
+    write_file(path, out)
 
 
 class _Reader:

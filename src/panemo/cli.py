@@ -83,7 +83,8 @@ def cmd_train(args) -> int:
                 raise ConfigError(f"{key}={run[key]}: is the same file as {name}")
         files[key] = run[key]
 
-    # Ctrl-C before training ends: nothing has been written yet
+    # Ctrl-C at any point: say whether the checkpoint was written
+    written = False
     try:
         raw_train = textprep.load_semeval_tsv(_require_file(run["train_path"], "training TSV"))
         raw_dev = textprep.load_semeval_tsv(_require_file(run["dev_path"], "development TSV"))
@@ -108,24 +109,26 @@ def cmd_train(args) -> int:
         params = init_params(emb, ModelConfig(d_emb=d_emb, hidden=hidden), tcfg.seed)
 
         params, log = train(train_set, dev_set, tcfg, params, log_path=run["log_path"])
+        ckpt.save_checkpoint(
+            params,
+            vocab,
+            tcfg,
+            log.best_val_loss,
+            run["checkpoint_path"],
+            extra_config={"max_len": max_len, "min_count": min_count},
+        )
+        written = True
+        print(
+            f"best epoch {log.best_epoch}, validation loss {log.best_val_loss:.6f}; "
+            f"checkpoint written to {run['checkpoint_path']}"
+        )
+        if raw_test is not None:
+            print(f"test set at best epoch {log.best_epoch}: {run['test_path']}")
+            _headline_report(textprep.encode_dataset(raw_test, vocab, max_len), params, tcfg.threshold)
     except KeyboardInterrupt:
-        print("interrupted: no checkpoint was written", file=sys.stderr)
+        outcome = f"checkpoint written to {run['checkpoint_path']}" if written else "no checkpoint was written"
+        print(f"interrupted: {outcome}", file=sys.stderr)
         return 130
-    ckpt.save_checkpoint(
-        params,
-        vocab,
-        tcfg,
-        log.best_val_loss,
-        run["checkpoint_path"],
-        extra_config={"max_len": max_len, "min_count": min_count},
-    )
-    print(
-        f"best epoch {log.best_epoch}, validation loss {log.best_val_loss:.6f}; "
-        f"checkpoint written to {run['checkpoint_path']}"
-    )
-    if raw_test is not None:
-        print(f"test set at best epoch {log.best_epoch}: {run['test_path']}")
-        _headline_report(textprep.encode_dataset(raw_test, vocab, max_len), params, tcfg.threshold)
     return 0
 
 

@@ -9,7 +9,7 @@ dense sigmoid head over 11 emotion classes.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -330,6 +330,7 @@ def bigru_layer(
     ws: Workspace | None = None,
     layer: str = "gru",
     ids: np.ndarray | None = None,
+    noise: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> Tensor:
     """Bidirectional GRU scan over a sequence, as one tape op.
 
@@ -356,8 +357,11 @@ def bigru_layer(
     as a (2, k[s], .) stack. The backward rule is hand-written BPTT: the
     input weights get one GEMM after the loop, the hidden weights one small
     GEMM per step, and the gradients are split back onto the 12 per-gate
-    tensors of each direction (which may be weight-noise views of the clean
-    parameters).
+    tensors of each direction.
+
+    Given ``noise``, per direction the (H, H) noise of W_hr, W_hz and W_hn
+    (``training.perturb_hidden_weights``), each gate scans with its clean
+    weight plus its noise, and its gradient lands on the clean weight.
 
     Given ``ids``, the (N,) token id of each row of ``x``, rows with the
     same id must be equal: the input projection is then computed once per
@@ -375,7 +379,10 @@ def bigru_layer(
     H = fwd.W_hr.data.shape[0]
     dirs = (fwd, bwd)
     W_i = np.concatenate([getattr(p, f"W_i{g}").data for p in dirs for g in "rzn"], axis=1)
-    W_h = np.stack([np.concatenate([getattr(p, f"W_h{g}").data for g in "rzn"], axis=1) for p in dirs])
+    W_h = [[getattr(p, f"W_h{g}").data for g in "rzn"] for p in dirs]
+    if noise is not None:
+        W_h = [[w + eps for w, eps in zip(gates, draws, strict=True)] for gates, draws in zip(W_h, noise, strict=True)]
+    W_h = np.stack([np.concatenate(gates, axis=1) for gates in W_h])
     # The biases are added per step: b_ir + b_hr and b_iz + b_hz onto the
     # r and z pre-activations, b_hn inside r * (W_hn h + b_hn), b_in after it.
     b_h = np.stack(
@@ -637,21 +644,24 @@ def forward(
     spatial_keep: np.ndarray | None = None,
     dense_keep: np.ndarray | None = None,
     ws: Workspace | None = None,
+    noise: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Full forward pass over a (B, T) batch.
 
     Returns (yhat (B, NUM_EMOTIONS), attention weights layer 1 (B, T), layer 2).
     ``Packing`` scans only to the end of the longest row, and both maps come
     back (B, T) from ``attention_pool``, zero after it, with no padding step.
-    A training step passes inverted-dropout keep masks from ``dropout_mask``:
-    ``spatial_keep`` (B, d_emb) scales each example's embedding channels at
-    every position, ``dense_keep`` (B, d_v) the pooled vector before the
-    head. Without them the pass is the eval forward. Both attention layers
-    see the same post-spatial-dropout X that feeds GRU layer 1. Without
-    ``spatial_keep``, X holds unscaled embedding rows, so layer 1 gets their
-    token ids and projects each distinct token of the batch once. A train loop
-    passes the ``Workspace`` it keeps across steps as ``ws``; without one,
-    each BiGRU layer allocates its arrays afresh.
+    A training step passes two inverted-dropout keep masks of
+    ``dropout_mask``, where ``spatial_keep`` (B, d_emb) scales each example's
+    embedding channels at every position and ``dense_keep`` (B, d_v) the
+    pooled vector before the head, and the hidden-weight ``noise`` of
+    ``training.perturb_hidden_weights``, whose first two directions go to GRU
+    layer 1 and last two to layer 2. Without these the pass is the eval
+    forward. Both attention layers see the same post-spatial-dropout X that
+    feeds GRU layer 1. Without ``spatial_keep``, X holds unscaled embedding
+    rows, so layer 1 gets their token ids and projects each distinct token of
+    the batch once. A train loop passes the ``Workspace`` it keeps across
+    steps as ``ws``; without one, each BiGRU layer allocates its arrays afresh.
     """
     mask = np.asarray(mask, dtype=np.float64)
     pack = Packing(mask)
@@ -662,8 +672,9 @@ def forward(
         x = Tensor(pack.scale(x.data, spatial_keep))
         ids = None  # scaled rows of one token differ between batch rows
 
-    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack, ws, "gru1", ids)
-    h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask, pack, ws, "gru2")
+    noise1, noise2 = (None, None) if noise is None else (noise[:2], noise[2:])
+    h1 = bigru_layer(x, params.gru1_fwd, params.gru1_bwd, mask, pack, ws, "gru1", ids, noise1)
+    h2 = bigru_layer(h1, params.gru2_fwd, params.gru2_bwd, mask, pack, ws, "gru2", noise=noise2)
 
     v1, a1 = attention_pool([h1, x], params.attn1, pack)
     v2, a2 = attention_pool([h2, h1, x], params.attn2, pack)

@@ -8,6 +8,7 @@ separation. No spell correction or hashtag word segmentation.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,6 +65,24 @@ def decode_text(data: bytes, source, error: type[Exception] = ParseError) -> str
 def read_text(path, error: type[Exception] = ParseError) -> str:
     """The text of a UTF-8 file; see ``decode_text``."""
     return decode_text(Path(path).read_bytes(), path, error)
+
+
+def write_file(path, data: bytes):
+    """Put ``data`` at ``path`` whole or not at all: it is written to a new
+    temporary file beside ``path``, which then replaces ``path``. An
+    interrupted or failed write leaves ``path`` as it was and removes the
+    temporary file. Created with ``open``, the file gets the permissions a
+    plain ``open(path, "wb")`` would give it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")  # before the try: a name that is already taken is not ours to remove
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def split_lines(text: str) -> list[str]:

@@ -3,7 +3,6 @@ with its learning-rate halving and early stopping."""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import time
@@ -15,8 +14,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .metrics import valid_threshold
-from .model import GruDirectionParams, ModelConfig, ModelParams, Workspace, dropout_mask, forward, predict_scores
-from .textprep import NUM_EMOTIONS, Dataset, split_lines
+from .model import ModelConfig, ModelParams, Workspace, dropout_mask, forward, predict_scores
+from .textprep import NUM_EMOTIONS, Dataset, split_lines, write_file
 
 # Subsystem PRNG streams, derived from the root seed with SeedSequence so
 # enabling one regularizer never perturbs another's draws.
@@ -189,38 +188,18 @@ def l2_penalty(params: ModelParams, coeff: float) -> Tensor:
     return out
 
 
-_NOISY_WEIGHTS = ("W_hr", "W_hz", "W_hn")
-
-
-def noisy_direction(direction: GruDirectionParams, noise) -> GruDirectionParams:
-    """A copy of ``direction`` with the three constant ``noise`` arrays added
-    to W_hr, W_hz and W_hn, in that order. Each noisy weight is a trainable
-    tensor that shares the clean weight's gradient buffer: whatever gradient
-    reaches it lands on the clean one, with no tape record."""
-    noisy = copy.copy(direction)
-    for name, eps in zip(_NOISY_WEIGHTS, noise, strict=True):
-        clean = getattr(direction, name)
-        weight = Tensor(clean.data + eps)
-        weight.trainable, weight.grad = True, clean.grad
-        setattr(noisy, name, weight)
-    return noisy
-
-
-def perturb_hidden_weights(params: ModelParams, sigma: float, rng) -> ModelParams:
-    """Noisy view of params for one step: N(0, sigma^2) on GRU hidden weights.
-
-    Gradients of the perturbed forward land on the clean weights
-    (``noisy_direction``); the noise itself is never stored. Eval always uses
-    the clean params.
+def perturb_hidden_weights(params: ModelParams, sigma: float, rng) -> list[tuple[np.ndarray, ...]] | None:
+    """One step's N(0, sigma^2) noise on the GRU hidden weights, or None when
+    sigma is 0: per direction in field order, the (H, H) noise of W_hr, W_hz
+    and W_hn, drawn in that order. ``bigru_layer`` adds each gate's noise to
+    its clean weight, so the gradients of the noisy forward land on the clean
+    weights; the draw records nothing on the tape and the noise is never
+    stored. Eval always uses the clean params.
     """
     if sigma == 0.0:
-        return params
-    noisy = copy.copy(params)
-    for gru_name in ("gru1_fwd", "gru1_bwd", "gru2_fwd", "gru2_bwd"):
-        direction = getattr(params, gru_name)
-        noise = [rng.normal(0.0, sigma, size=getattr(direction, w).data.shape) for w in _NOISY_WEIGHTS]
-        setattr(noisy, gru_name, noisy_direction(direction, noise))
-    return noisy
+        return None
+    H = params.config.hidden
+    return [tuple(rng.normal(0.0, sigma, size=(H, H)) for _ in "rzn") for _ in range(4)]  # 4 GRU directions
 
 
 # Adam's moment decay rates and denominator floor
@@ -309,18 +288,19 @@ def batch_loss(
     params: ModelParams, indices: np.ndarray, mask: np.ndarray, labels: np.ndarray, config: TrainingConfig,
     noise_rng, spatial_rng, dropout_rng, ws: Workspace | None = None,
 ) -> Tensor:
-    """The train-mode loss of one batch, on the active tape: hidden-weight
+    """The train-mode loss of one batch, on the active tape: the hidden-weight
     noise, then the spatial and dense dropout masks, each drawn from its own
-    stream; the forward on the noisy weights; weighted BCE plus L2 on the
-    clean ones."""
+    stream; the forward with all three; weighted BCE plus L2 on the clean
+    weights."""
     batch, shapes = len(indices), params.config
-    noisy = perturb_hidden_weights(params, config.weight_noise_std, noise_rng)
-    # the masks are passed straight in, so they are freed with the forward
+    noise = perturb_hidden_weights(params, config.weight_noise_std, noise_rng)
+    # the draws are passed straight in, so they are freed with the forward
     yhat, _, _ = forward(
-        indices, mask, noisy,
+        indices, mask, params,
         _keep_mask((batch, shapes.d_emb), config.spatial_dropout, spatial_rng),
         _keep_mask((batch, shapes.d_v), config.dropout_dense, dropout_rng),
         ws,
+        noise,
     )
     return ad.add_scalars([weighted_bce(yhat, labels, config.pos_weight), l2_penalty(params, config.l2_coeff)])
 
@@ -421,6 +401,5 @@ def train(
     if _digest(params.embedding.data) != embedding_before:
         raise AssertionError("frozen embedding was modified during training")
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write(log.to_tsv())
+        write_file(log_path, log.to_tsv().encode("utf-8"))
     return params, log

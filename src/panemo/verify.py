@@ -13,6 +13,7 @@ text and piece.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ from .textprep import (
     random_embeddings,
     tokenize,
 )
-from .training import TrainingConfig, batch_loss, noisy_direction
+from .training import SIZE_DEFAULTS, TrainingConfig, batch_loss
 
 
 # ---------------------------------------------------------------------------
@@ -463,54 +464,59 @@ TOKEN_ID_GRIDS = {
 }
 
 
-def check_fused_bigru(seed: int = 0, mask=None, ids=None) -> float:
+def check_fused_bigru(seed: int = 0, mask=None, ids=None, d: int = ORACLE_D, hidden: int = ORACLE_HIDDEN) -> float:
     """Worst relative difference between ``model.bigru_layer`` and the per-step
-    oracle: the outputs, dX and the gradients of all 24 gate tensors.
+    oracle: the outputs, dX and the gradients of all 24 gate tensors, over
+    ``d`` input features and ``hidden`` units per direction.
 
     By default the batch has the ragged prefix masks of ``_oracle_mask``; a
     given (B, T) prefix ``mask`` replaces them. Given ``ids``, one of
     ``TOKEN_ID_GRIDS``, x's rows are the rows of a random table at the
     grid's ids, and the fused layer gets the packed ids, so it projects each
-    distinct id once. The hidden weights carry noise built as
-    in a training step (``noisy_direction``), so the gate gradients reach the
-    clean weights through the shared buffers.
+    distinct id once. The fused layer gets hidden-weight noise as in a
+    training step; the oracle gets the noisy hidden weights as leaves of
+    their own, whose gradients must equal those of the clean weights.
     """
     rng = np.random.default_rng(seed)
-    dirs = [random_gru(rng, ORACLE_D, ORACLE_HIDDEN) for _ in range(2)]
+    dirs = [random_gru(rng, d, hidden) for _ in range(2)]
     if mask is None:
         mask = _oracle_mask(rng, ORACLE_T, ORACLE_B)
     B, T = mask.shape
     if ids is None:
-        x = rng.uniform(-1, 1, (T, B, ORACLE_D)) * mask.T[:, :, None]
+        x = rng.uniform(-1, 1, (T, B, d)) * mask.T[:, :, None]
     else:
         grid = ids(rng, T, B)
-        x = rng.uniform(-1, 1, (int(grid.max()) + 1, ORACLE_D))[grid] * mask.T[:, :, None]
+        x = rng.uniform(-1, 1, (int(grid.max()) + 1, d))[grid] * mask.T[:, :, None]
     pack = Packing(mask)
     token_ids = None if ids is None else pack.pack(grid)
-    probe = rng.uniform(-1, 1, (T, B, 2 * ORACLE_HIDDEN))  # loss = sum(probe * outputs)
-    noise = [rng.normal(0.0, 0.1, (3, ORACLE_HIDDEN, ORACLE_HIDDEN)) for _ in dirs]
+    probe = rng.uniform(-1, 1, (T, B, 2 * hidden))  # loss = sum(probe * outputs)
+    noise = [rng.normal(0.0, 0.1, (3, hidden, hidden)) for _ in dirs]
+    noisy_leaves = [
+        {f"W_h{g}": Tensor(getattr(p, f"W_h{g}").data + eps, trainable=True) for g, eps in zip("rzn", draws)}
+        for p, draws in zip(dirs, noise)
+    ]
 
     def run(fused: bool):
-        for p in dirs:
+        sides = dirs if fused else [replace(p, **leaves) for p, leaves in zip(dirs, noisy_leaves)]
+        for p in sides:
             for t in vars(p).values():
                 t.zero_grad()
         with ad.Tape() as tape:
-            fwd, bwd = map(noisy_direction, dirs, noise)
             if fused:
                 xs = Tensor(pack.pack(x), trainable=True)
-                out = bigru_layer(xs, fwd, bwd, mask, pack, ids=token_ids)
+                out = bigru_layer(xs, *dirs, mask, pack, ids=token_ids, noise=noise)
                 loss = tensor_sum(mul_const(out, pack.pack(probe)))
                 out = Tensor(unpack(pack, out.data))
             else:
                 xs = [Tensor(x[t], trainable=True) for t in range(T)]
-                outs = reference_bigru_layer(xs, fwd, bwd, mask)
+                outs = reference_bigru_layer(xs, *sides, mask)
                 loss = ad.add_scalars(
                     [tensor_sum(mul_const(o, probe[t])) for t, o in enumerate(outs)]
                 )
                 out = Tensor(np.stack([o.data for o in outs]))
         ad.backward(loss, tape)
         dx = unpack(pack, xs.grad) if fused else np.stack([t.grad for t in xs])
-        grads = [t.grad.copy() for p in dirs for t in vars(p).values()]
+        grads = [t.grad.copy() for p in sides for t in vars(p).values()]
         return [out.data, dx] + grads
 
     return max(_relative_error(f, o) for f, o in zip(run(True), run(False)))
@@ -539,13 +545,13 @@ def check_token_projection(params: ModelParams, n_trials: int = 30, seed: int = 
     return worst
 
 
-def check_fused_attention(seed: int = 0, mask=None) -> float:
+def check_fused_attention(seed: int = 0, mask=None, d: int = ORACLE_D) -> float:
     """Worst relative difference between ``model.attention_pool`` and the
     per-position oracle: pooled output, weights, dU and the w_a gradient, on
     the same ragged masks as ``check_fused_bigru`` or on a given (B, T)
-    prefix ``mask`` (every row with a valid position). The fused side gets u
-    as the packed rows of two feature blocks, the second frozen as the
-    embedding block is in the model.
+    prefix ``mask`` (every row with a valid position). The fused side gets u,
+    of ``d`` features, as the packed rows of two feature blocks, the second
+    frozen as the embedding block is in the model.
 
     The true gradient of the bias b is 0 (softmax shift invariance) and both
     sides give rounding noise there, so it counts in absolute terms.
@@ -554,7 +560,6 @@ def check_fused_attention(seed: int = 0, mask=None) -> float:
     if mask is None:
         mask = _oracle_mask(rng, ORACLE_T, ORACLE_B)
     B, T = mask.shape
-    d = ORACLE_D
     pack = Packing(mask)
     u = rng.uniform(-1, 1, (T, B, d))
     split = d // 2
@@ -592,17 +597,22 @@ def reference_head(v1: Tensor, v2: Tensor, W_d: Tensor, b_d: Tensor, dense_keep=
 # Scales of the pooled vectors in the head checks: at 1e3 the logits pass
 # ±709, where exp(-z) overflows and y saturates.
 HEAD_SCALES = (1.0, 1e3)
+# (B, d1, d2, n_labels) of the head checks' default case
+HEAD_SHAPE = (6, 3, 5, 4)
 
 
-def compare_fused_head(seed: int, dropout: bool, scale: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """``model.head`` and ``reference_head`` on one random case: per side, y
-    and the gradients of v1, v2, W_d and b_d under the loss sum(probe * y).
+def compare_fused_head(
+    seed: int, dropout: bool, scale: float, shape: tuple[int, int, int, int] = HEAD_SHAPE
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``model.head`` and ``reference_head`` on one random case of ``shape``,
+    (B, d1, d2, n_labels): per side, y and the gradients of v1, v2, W_d and
+    b_d under the loss sum(probe * y).
 
     The pooled vectors are uniform(-scale, scale); with ``dropout`` a dense
     keep mask is drawn at the training rate.
     """
     rng = np.random.default_rng(seed)
-    B, d1, d2, n_labels = 6, 3, 5, 4
+    B, d1, d2, n_labels = shape
     arrays = [
         rng.uniform(-scale, scale, (B, d1)),
         rng.uniform(-scale, scale, (B, d2)),
@@ -623,13 +633,45 @@ def compare_fused_head(seed: int, dropout: bool, scale: float) -> tuple[list[np.
     return run(head), run(reference_head)
 
 
-def check_fused_head(seeds: Sequence[int]) -> float:
+def check_fused_head(seeds: Sequence[int], shape: tuple[int, int, int, int] = HEAD_SHAPE) -> float:
     """Worst relative difference between ``model.head`` and its composed
-    oracle over ``seeds``, dropout on and off, and ``HEAD_SCALES``."""
-    cases = [(s, dropout, scale) for s in seeds for dropout in (False, True) for scale in HEAD_SCALES]
+    oracle at ``shape`` over ``seeds``, dropout on and off, and ``HEAD_SCALES``."""
+    cases = [(s, dropout, scale, shape) for s in seeds for dropout in (False, True) for scale in HEAD_SCALES]
     return max(
         _relative_error(f, o) for case in cases for f, o in zip(*compare_fused_head(*case))
     )
+
+
+# Tweet lengths of one SemEval-like batch of the paper's size: 64 rows with a
+# full-length row and a length-1 row, 16.6 tokens on average (33% of T = 50).
+SEMEVAL_LENGTHS = (
+    13, 29, 1, 22, 40, 19, 10, 29, 9, 21, 4, 8, 13, 26, 10, 16, 24, 8, 21, 14, 15, 13,
+    31, 7, 23, 4, 4, 29, 11, 17, 19, 6, 31, 19, 13, 21, 12, 22, 6, 22, 15, 7, 13, 24,
+    20, 16, 18, 19, 9, 17, 11, 17, 20, 18, 50, 11, 25, 7, 12, 5, 17, 9, 21, 21,
+)
+
+
+def check_paper_shapes(seed: int = 0) -> float:
+    """Worst relative difference between each fused kernel and its oracle at
+    the paper's shapes: batches of B = 64 tweets over T = max_len = 50 steps,
+    d_emb = 300 and H = 50 (``ModelConfig``), with the ragged masks of
+    ``SEMEVAL_LENGTHS`` and with a full mask.
+
+    The BiGRU reads d_emb features, with hidden-weight noise on, with and
+    without the repeated ids of ``TOKEN_ID_GRIDS``; attention pools
+    d_u1 = 2H + d_emb features; the head reads d_v = d_u1 + d_u2 features into
+    the 11 emotions.
+    """
+    model, B, T = ModelConfig(), len(SEMEVAL_LENGTHS), SIZE_DEFAULTS["max_len"]
+    masks = [prefix_mask(SEMEVAL_LENGTHS, T), np.ones((B, T))]
+    bigru = [
+        check_fused_bigru(seed, m, ids, model.d_emb, model.hidden)
+        for m in masks
+        for ids in (None, TOKEN_ID_GRIDS["repeated ids"])
+    ]
+    attention = [check_fused_attention(seed, m, model.d_u1) for m in masks]
+    head = check_fused_head([seed], (B, model.d_u1, model.d_u2, NUM_EMOTIONS))
+    return max(*bigru, *attention, head)
 
 
 # ---------------------------------------------------------------------------
@@ -910,8 +952,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         for ids in TOKEN_ID_GRIDS.values()
     )
     token_projection = max(token_projection, check_token_projection(params, max(n // 10, 30), seed))
-    results = []
-    for name, worst, tol in [
+    suites = [
         ("masked_softmax invariants", check_softmax_invariants(n, seed), 1e-12),
         ("attention convex hull", check_attention_convex_hull(n, seed), 1e-12),
         ("padding invariance", check_padding_invariance(params, max(n // 10, 20), seed), 1e-12),
@@ -921,6 +962,9 @@ def run_selftest(seed: int = 0, quick: bool = False) -> list[tuple[str, float, f
         ("distinct-token projection vs per-step oracle and per-row GEMM", token_projection, 1e-12),
         ("dense head vs composed oracle ops", check_fused_head(oracle_seeds), 1e-12),
         ("tokenizer vs reference oracle", check_tokenizer_oracle(1000 if quick else 5000, seed), 1e-12),
-    ]:
-        results.append((name, worst, tol, worst < tol))
-    return results
+    ]
+    if not quick:
+        suites.append(
+            ("fused BiGRU, attention and head vs oracles at the paper's shapes", check_paper_shapes(seed), 1e-12)
+        )
+    return [(name, worst, tol, worst < tol) for name, worst, tol in suites]

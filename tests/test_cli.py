@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from panemo import cli, textprep
 from panemo.autodiff import Tensor
 from panemo.checkpoint import MAGIC, save_checkpoint
 from panemo.cli import _PATH_KEYS, _load_for_inference, load_run_config, main
@@ -806,6 +807,63 @@ def test_interrupted_train_exits_130_with_one_line(workspace):
     assert proc.returncode == 130
     assert err == b"interrupted: no checkpoint was written\n"
     assert not (workspace / "best.ckpt").exists() and not (workspace / "log.tsv").exists()
+
+
+class HalfWrite:
+    """A binary file that writes half of the first bytes it is given, then raises ``exc``."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc = fh, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise self.exc
+
+
+@pytest.mark.parametrize("target", ["best.ckpt", "log.tsv"])
+@pytest.mark.parametrize(
+    "exc, status, line",
+    [
+        (KeyboardInterrupt(), 130, "interrupted: no checkpoint was written"),
+        (OSError(28, "No space left on device"), 1, "error: [Errno 28] No space left on device"),
+    ],
+)
+def test_failed_write_keeps_previous_file(workspace, capsys, monkeypatch, target, exc, status, line):
+    """An interrupt or an OSError halfway through writing the checkpoint or
+    the log leaves the file of an earlier run whole and no temporary file."""
+    for name in ("best.ckpt", "log.tsv"):
+        (workspace / name).write_bytes(f"earlier {name}".encode())
+    real_open = open
+
+    def half_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return HalfWrite(fh, exc) if Path(path).name.startswith(f".{target}.") else fh
+
+    monkeypatch.setattr(textprep, "open", half_open, raising=False)
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == status
+    assert capsys.readouterr().err == line + "\n"
+    assert (workspace / target).read_bytes() == f"earlier {target}".encode()
+    assert (workspace / "best.ckpt").read_bytes() == b"earlier best.ckpt"  # the log is written first
+    assert not list(workspace.glob(".*"))
+
+
+def test_interrupt_after_checkpoint_says_it_was_written(workspace, capsys, monkeypatch):
+    set_config(workspace, f"test_path={workspace / 'dev.tsv'}\n")
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_headline_report", interrupted)
+    assert main(["train", "--config", str(workspace / "run.cfg")]) == 130
+    assert capsys.readouterr().err == f"interrupted: checkpoint written to {workspace / 'best.ckpt'}\n"
+    assert (workspace / "best.ckpt").read_bytes().startswith(MAGIC)
 
 
 def test_train_bytes_identical_across_processes(workspace):

@@ -190,6 +190,10 @@ class TestFusedOracle:
         for seed in range(3):
             assert verify.check_fused_bigru(seed=seed, mask=mask, ids=verify.TOKEN_ID_GRIDS[ids]) <= 1e-12
 
+    def test_kernels_match_oracles_at_paper_shapes(self):
+        # B = 64, T = 50, d_emb = 300, H = 50 on SemEval-like ragged and full masks
+        assert verify.check_paper_shapes() <= 1e-12
+
     @pytest.mark.parametrize("seed", range(3))
     def test_attention_matches_per_position_oracle(self, seed):
         assert verify.check_fused_attention(seed=seed) <= 1e-12

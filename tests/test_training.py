@@ -146,49 +146,75 @@ class TestDropout:
         assert abs(frac - 0.4) < 0.01
 
 
+DIRECTIONS = ("gru1.fwd", "gru1.bwd", "gru2.fwd", "gru2.bwd")  # the GRU directions in field order
+
+
+def with_noise(params, noise):
+    """A ``params_from_arrays`` copy of ``params`` whose W_hr, W_hz and W_hn
+    hold the clean weight plus ``noise``, and every other tensor the clean one."""
+    arrays = {name: t.data.copy() for name, t in params.named_parameters()}
+    for direction, draws in zip(DIRECTIONS, noise, strict=True):
+        for gate, eps in zip("rzn", draws, strict=True):
+            arrays[f"{direction}.W_h{gate}"] += eps
+    return params_from_arrays(arrays, params.config)
+
+
 class TestWeightNoise:
+    IDX = np.array([[2, 5, 7, 0, 0], [3, 9, 4, 11, 6]])
+    MSK = (IDX > 0).astype(np.float64)
+
     def test_sigma_zero_is_identity(self):
         params = build_downsized(seed=0)
-        assert perturb_hidden_weights(params, 0.0, None) is params
+        assert perturb_hidden_weights(params, 0.0, None) is None
+        y, a1, a2 = forward(self.IDX, self.MSK, params)
+        y_none, a1_none, a2_none = forward(self.IDX, self.MSK, params, noise=None)
+        assert np.array_equal(y.data, y_none.data)
+        assert np.array_equal(a1, a1_none) and np.array_equal(a2, a2_none)
 
     def test_noise_moments_monte_carlo(self):
         params = build_downsized(seed=1)
         rng = np.random.default_rng(4)
-        samples = []
-        while sum(s.size for s in samples) < 1_000_000:
-            noisy = perturb_hidden_weights(params, 0.1, rng)
-            for gru_name in ("gru1_fwd", "gru1_bwd", "gru2_fwd", "gru2_bwd"):
-                clean = getattr(params, gru_name)
-                pert = getattr(noisy, gru_name)
-                for w in ("W_hr", "W_hz", "W_hn"):
-                    samples.append(getattr(pert, w).data - getattr(clean, w).data)
+        samples, count = [], 0
+        while count < 1_000_000:
+            draws = [eps for direction in perturb_hidden_weights(params, 0.1, rng) for eps in direction]
+            samples += draws
+            count += sum(eps.size for eps in draws)
         noise = np.concatenate([s.reshape(-1) for s in samples])[:1_000_000]
         assert abs(noise.mean()) < 0.001
         assert abs(noise.std() - 0.1) < 0.001
 
+    def test_draw_order(self):
+        # per direction in field order, the noise of W_hr, W_hz and W_hn
+        params = build_downsized(seed=2)
+        H = params.config.hidden
+        noise = perturb_hidden_weights(params, 0.1, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        expected = [[rng.normal(0.0, 0.1, (H, H)) for _ in "rzn"] for _ in DIRECTIONS]
+        for got, want in zip(noise, expected, strict=True):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
     def test_only_hidden_weights_perturbed(self):
         params = build_downsized(seed=2)
-        noisy = perturb_hidden_weights(params, 0.1, np.random.default_rng(5))
-        assert noisy.gru1_fwd.W_ir is params.gru1_fwd.W_ir
-        assert noisy.W_d is params.W_d
-        assert not np.array_equal(noisy.gru1_fwd.W_hr.data, params.gru1_fwd.W_hr.data)
+        noise = perturb_hidden_weights(params, 0.1, np.random.default_rng(5))
+        noisy = forward(self.IDX, self.MSK, params, noise=noise)
+        oracle = forward(self.IDX, self.MSK, with_noise(params, noise))
+        assert np.array_equal(noisy[0].data, oracle[0].data)
+        assert all(np.array_equal(a, b) for a, b in zip(noisy[1:], oracle[1:]))
+        assert not np.array_equal(noisy[0].data, forward(self.IDX, self.MSK, params)[0].data)
 
     def test_noisy_gradient_reaches_clean_weight(self):
         params = build_downsized(seed=7)
-        idx = np.array([[2, 5, 7, 0, 0], [3, 9, 4, 11, 6]])
-        msk = (idx > 0).astype(np.float64)
         with Tape() as tape:
-            noisy = perturb_hidden_weights(params, 0.1, np.random.default_rng(8))
+            noise = perturb_hidden_weights(params, 0.1, np.random.default_rng(8))
             assert len(tape) == 0  # the noise records nothing
-            loss = tensor_sum(forward(idx, msk, noisy)[0])
+            loss = tensor_sum(forward(self.IDX, self.MSK, params, noise=noise)[0])
         backward(loss, tape)
-        assert noisy.gru2_bwd.W_hn.grad is params.gru2_bwd.W_hn.grad
         # oracle: the noisy values as ordinary trainable leaves
-        plain = params_from_arrays({n: t.data.copy() for n, t in noisy.named_parameters()}, params.config)
+        leaves = with_noise(params, noise)
         with Tape() as tape:
-            loss = tensor_sum(forward(idx, msk, plain)[0])
+            loss = tensor_sum(forward(self.IDX, self.MSK, leaves)[0])
         backward(loss, tape)
-        for (name, clean), (_, leaf) in zip(params.trainable_parameters(), plain.trainable_parameters()):
+        for (name, clean), (_, leaf) in zip(params.trainable_parameters(), leaves.trainable_parameters()):
             assert np.array_equal(clean.grad, leaf.grad), name
         assert params.gru1_fwd.W_hr.grad.any()
 
